@@ -4,9 +4,9 @@ module Op = Fr_tcam.Op
 let sequence graph tcam ops =
   let sim = Tcam.copy tcam in
   (* Each simulated op is a publication point on the real table: besides
-     the dependency invariant, the persistent image the op would publish
-     must agree with the slot array, so readers of the snapshot see
-     exactly this committed-prefix state. *)
+     the dependency invariant, the image the op would publish must agree
+     with the writer's id -> address index, so readers of the snapshot
+     see exactly this committed-prefix state. *)
   let publication i describe k =
     match Tcam.check_dag_order sim graph with
     | Error msg ->

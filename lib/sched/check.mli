@@ -8,11 +8,14 @@
     op} — i.e. lookups stay correct mid-update, which is the property that
     lets firmware apply sequences without locking the data path.
 
-    Every op is also a {e publication point}: the real table re-derives
-    and publishes its persistent {!Fr_tcam.Image.t} per committed op, so
-    the simulation additionally checks {!Fr_tcam.Tcam.image_consistent}
-    after each step — the snapshot a concurrent reader would grab at that
-    instant must mirror the slot array exactly. *)
+    Every op is also a {e publication point}: the real table derives and
+    publishes a copy-on-write {!Fr_tcam.Image.t} per committed op (one
+    chunk plus its O(log{_32} n) interior path), so the simulation
+    additionally checks {!Fr_tcam.Tcam.image_consistent} after each step
+    — the snapshot a concurrent reader would grab at that instant must
+    hold every indexed entry in its indexed slot with its bound payload,
+    and nothing else.  The simulation runs on a {!Fr_tcam.Tcam.copy},
+    which copies the writer's indexes and shares the immutable image. *)
 
 val sequence :
   Fr_dag.Graph.t -> Fr_tcam.Tcam.t -> Fr_tcam.Op.t list -> (unit, string) result

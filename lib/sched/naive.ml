@@ -31,15 +31,7 @@ let max_priority st = Hashtbl.fold (fun _ p acc -> max p acc) st.prio 0
 (* The address of the lowest-addressed entry whose priority is at least
    [p] (the table is priority-sorted, so everything above it also is). *)
 let first_at_or_above st p =
-  let n = Tcam.size st.tcam in
-  let rec go a =
-    if a >= n then None
-    else
-      match Tcam.read st.tcam a with
-      | Tcam.Used id when prio_exn st id >= p -> Some a
-      | Tcam.Used _ | Tcam.Free -> go (a + 1)
-  in
-  go 0
+  Tcam.first_used st.tcam (fun id -> prio_exn st id >= p)
 
 (* The firmware's per-movement work: re-locate the displaced entry by a
    fresh table scan (§VI.A: "it needs to locate the suitable place in

@@ -38,7 +38,11 @@ type t
 val create : backend:backend -> dir:Dir.t -> Fr_dag.Graph.t -> Fr_tcam.Tcam.t -> t
 (** Builds the initial metrics for every address (O(n c_avg)).  The store
     keeps references to the graph and TCAM; call {!refresh} after every
-    applied update to keep the pre-computed back-ends truthful. *)
+    applied update to keep the pre-computed back-ends truthful.  Slot
+    reads go to the TCAM's published chunk image ({!Fr_tcam.Tcam.read}
+    descends O(log{_32} n) nodes); every applied op republishes that
+    image by copying one chunk and its interior path, so the store reads
+    the committed state after each op without copying the table. *)
 
 val dir : t -> Dir.t
 val backend : t -> backend

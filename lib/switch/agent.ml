@@ -91,21 +91,24 @@ let create ?(kind = default_kind) ?scheduler ?(latency = Latency.default)
 
 let of_rules ?(kind = default_kind) ?scheduler ?(latency = Latency.default)
     ?(verify = false) ?deadmap ~capacity rules =
-  let seen = Hashtbl.create (Array.length rules) in
+  let store = Hashtbl.create (2 * Array.length rules) in
   Array.iter
     (fun (r : Rule.t) ->
-      if Hashtbl.mem seen r.Rule.id then
+      if Hashtbl.mem store r.Rule.id then
         invalid_arg (Printf.sprintf "Agent.of_rules: duplicate id %d" r.Rule.id);
-      Hashtbl.replace seen r.Rule.id ())
+      Hashtbl.replace store r.Rule.id r)
     rules;
   let graph = Build.compile_fast rules in
   let order = Fr_workload.Dataset.precedence_order rules in
   let layout = Firmware.layout_of kind in
-  let tcam = Layout.place ?deadmap layout ~tcam_size:capacity ~order in
+  let tcam =
+    Layout.place ?deadmap ~payload:(Hashtbl.find_opt store) layout
+      ~tcam_size:capacity ~order
+  in
   let make = Option.value scheduler ~default:(default_scheduler kind) in
   let t =
     {
-      store = Hashtbl.create (2 * Array.length rules);
+      store;
       index = Overlap_index.create ();
       graph;
       tcam;
@@ -126,17 +129,17 @@ let of_rules ?(kind = default_kind) ?scheduler ?(latency = Latency.default)
       publish_observer = None;
     }
   in
-  Array.iter
-    (fun (r : Rule.t) ->
-      Hashtbl.replace t.store r.Rule.id r;
-      Overlap_index.add t.index r;
-      Tcam.bind_rule t.tcam r)
-    rules;
+  Array.iter (Overlap_index.add t.index) rules;
   install_publisher t;
   t
 
 let existing t = Hashtbl.fold (fun _ r acc -> r :: acc) t.store []
 let set_fault t f = t.fault <- f
+
+(* The error an injected hardware failure reports; [is_fault] tells it
+   from scheduling errors. *)
+let fault_prefix = "fault: injected write failure on "
+let is_fault e = String.starts_with ~prefix:fault_prefix e
 
 (* Apply op-by-op, asking the fault plan before each op; the applied
    prefix stays — a verified sequence keeps the dependency invariant after
@@ -162,9 +165,7 @@ let apply_faulted t fault ops =
         in
         if failed then
           ( List.rev applied,
-            Error
-              (Format.asprintf "fault: injected write failure on %a" Op.pp op)
-          )
+            Error (Format.asprintf "%s%a" fault_prefix Op.pp op) )
         else begin
           Tcam.apply_sequence t.tcam [ op ];
           go (op :: applied) rest
@@ -254,14 +255,29 @@ let rec apply t fm =
              rewrite would fail forever.  Relocate through the scheduler's
              own Remove + Add path so every region/rank invariant is
              maintained; the transient absence is invisible at flow-mod
-             boundaries.  If the re-Add fails after the Remove landed the
-             rule is lost — the caller sees the error and can re-issue. *)
-          match apply t (Remove { id }) with
-          | Error _ as e -> e
-          | Ok () -> (
-              match apply t (Add { rule with Rule.action }) with
-              | Ok () -> Ok ()
-              | Error e -> Error ("relocate: " ^ e)))
+             boundaries.  The Remove only goes ahead when a writable free
+             row exists, and a re-Add that hits another stuck row is
+             retried: the failed write struck that row in the dead map, so
+             the next schedule steps around it.  Each retry needs a fresh
+             strike, so the loop ends within [threshold * size] attempts. *)
+          let size = Tcam.size t.tcam in
+          if Tcam.writable_free_in t.tcam ~lo:0 ~hi:(size - 1) = None then
+            Error (Printf.sprintf "relocate: no writable row for rule %d" id)
+          else
+            match apply t (Remove { id }) with
+            | Error _ as e -> e
+            | Ok () ->
+                let budget =
+                  size * Fr_tcam.Deadmap.threshold (Tcam.deadmap t.tcam)
+                in
+                let rec readd attempt =
+                  match apply t (Add { rule with Rule.action }) with
+                  | Ok () -> Ok ()
+                  | Error e when is_fault e && attempt < budget ->
+                      readd (attempt + 1)
+                  | Error e -> Error ("relocate: " ^ e)
+                in
+                readd 1)
       | Some rule, Some addr -> (
           (* One in-place hardware write; the dependency graph is
              action-agnostic so no reordering can be needed. *)

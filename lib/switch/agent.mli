@@ -14,7 +14,10 @@
       change can never require reordering.  If the entry sits on a row
       the dead map has condemned (in-place rewrite would fail forever),
       the agent relocates it through the scheduler's own Remove + Add
-      path instead, keeping every scheduler invariant;
+      path instead, keeping every scheduler invariant.  The Remove only
+      runs when a writable free row exists, and a re-Add that hits
+      another stuck row is retried around it instead of dropping the
+      rule;
     - [Remove id]: schedule the deletion and remove the node {e with
       contraction}, preserving the transitive shadowing order that flowed
       through the removed rule (two rules that both overlapped it may
@@ -201,9 +204,11 @@ val save : t -> string -> unit
 (** [save t path] — {!snapshot} to a file. *)
 
 val verify_consistent : t -> (unit, string) result
-(** Cross-check the three views of the table: every stored rule has a
-    TCAM entry, the TCAM holds nothing else, and the image respects the
-    dependency-graph order ({!Fr_tcam.Tcam.check_dag_order}).  The
+(** Cross-check the views of the table: every stored rule has a TCAM
+    entry, the TCAM holds nothing else, the entries respect the
+    dependency-graph order ({!Fr_tcam.Tcam.check_dag_order}), and the
+    published image agrees with the TCAM's id -> address index
+    ({!Fr_tcam.Tcam.image_consistent}).  The
     recovery path ([Fr_resil] / [Fr_ctrl.Service.recover]) runs this on
     every rebuilt shard before putting it back in service. *)
 

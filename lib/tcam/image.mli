@@ -1,62 +1,96 @@
 (** Immutable snapshot of the TCAM: the query face of the mutation/query
-    split (ROADMAP item #1).
+    split, and the only place slot contents live.
 
-    An [Image.t] is a persistent value — address map, id index and rule
-    payloads are balanced-tree maps, so deriving the next image from the
-    previous one after a single hardware op is O(log n) and shares almost
-    the whole structure with its predecessor.  Publishing a snapshot is
-    therefore a pointer swap, never a copy: a {!Tcam.t} republishes after
-    every committed op, readers grab the current image with one atomic
-    load and keep using it for as long as they like.  Readers are
-    wait-free (they never block a writer, a writer never blocks them) and
-    always see a table some committed prefix of the update sequence
-    produced — never a half-applied move.
+    An [Image.t] is a copy-on-write trie over fixed-size chunks of flat
+    arrays.  A chunk holds 16 consecutive slots: each slot's rule payload
+    and its match key, packed unboxed as four [int]s (value and care mask
+    of the match field's low and high 62-bit halves).  Interior nodes fan
+    out 32 ways, and a subtree without entries is one shared constant.
+    Deriving the next image after a hardware op copies one chunk plus the
+    O(log{_32} n) interior nodes above it and shares everything else, so
+    a write allocates a bounded number of words at any table size.
+
+    Publishing is a pointer swap: {!Tcam} derives a new image after every
+    committed op and hands it to its publisher; readers grab the current
+    image with one atomic load and keep it as long as they like.  Readers
+    are wait-free and always see a table some committed prefix of the
+    update sequence produced, never a half-applied move.
 
     The image carries rule {e payloads} as well as placements, so
     [lookup] is self-contained: a reader domain needs no access to the
-    agent's mutable rule store.  Payloads are bound before an insertion
-    sequence commits and unbound after a removal commits, so every id a
-    slot names resolves. *)
+    agent's mutable rule store.  A slot may hold an id whose payload is
+    not bound (see {!Tcam.bind_rule}); such a slot is occupied but never
+    matches.  The image keeps no id index: the writer's own tables map
+    ids to addresses. *)
+
+type slot = Free | Used of int  (** rule id *)
 
 type t
 
 val empty : t
-(** No entries, no payloads, epoch 0. *)
+(** No slots, epoch 0 — the placeholder before a table publishes. *)
+
+val create : size:int -> t
+(** [size] free slots, epoch 0.  @raise Invalid_argument if negative. *)
+
+val size : t -> int
 
 val epoch : t -> int
-(** Strictly increases with every derived image ([write], [erase],
-    [bind], [unbind]); readers can use it to detect publication. *)
+(** Strictly increases with every derived image ([write], [move],
+    [erase], [touch], [fill]); readers can use it to detect
+    publication. *)
 
 val entry_count : t -> int
 (** Occupied slots. *)
 
-val write : t -> rule_id:int -> addr:int -> t
-(** The image after a hardware write: [rule_id] now lives at [addr]; if
-    it lived elsewhere, that slot is free (a movement, mirroring
-    {!Tcam.write}'s one-call move semantics). *)
+(** {2 Deriving images}
+
+    Every address must lie in [\[0, size)]
+    (@raise Invalid_argument otherwise).  A [payload] of [None] places
+    [id] unbound. *)
+
+val write : t -> addr:int -> id:int -> Fr_tern.Rule.t option -> t
+(** Slot [addr] holds [id] with the given payload, whatever it held
+    before (the writer refuses clobbering before it gets here). *)
+
+val move : t -> src:int -> dst:int -> id:int -> Fr_tern.Rule.t option -> t
+(** [write] at [dst] and free [src] in one step: a movement. *)
 
 val erase : t -> addr:int -> t
-(** The image after a hardware erase (erasing a free slot only bumps the
-    epoch). *)
+(** Free the slot (erasing a free slot only bumps the epoch). *)
 
-val bind : t -> Fr_tern.Rule.t -> t
-(** Attach (or replace) the payload for a rule id. *)
+val touch : t -> t
+(** The same slots, one epoch on: a publication that changes no slot. *)
 
-val unbind : t -> id:int -> t
-(** Detach a payload (after the entry has left the slots). *)
+val fill : t -> (int * int) array -> (int -> Fr_tern.Rule.t option) -> t
+(** [fill t placed payload]: the empty image [t] with every
+    [(rule_id, addr)] of [placed] occupying its slot, bound to
+    [payload rule_id]; the chunks are built in one pass, one epoch on.
+    @raise Invalid_argument if [t] has entries or an address repeats. *)
 
-val addr_of : t -> int -> int option
-val rule : t -> int -> Fr_tern.Rule.t option
-val mem : t -> int -> bool
+(** {2 Reading} *)
+
+val read : t -> int -> slot
+val is_free : t -> int -> bool
+
+val rule_at : t -> int -> Fr_tern.Rule.t option
+(** The bound payload at an address, if the slot holds one. *)
 
 val lookup : t -> Fr_tern.Header.packet -> Fr_tern.Rule.t option
 (** Highest-address matching entry, exactly as the TCAM hardware answers
-    (descending address scan).  Slots whose payload is not bound are
-    skipped — with the agent's bind-before-insert / unbind-after-remove
-    protocol this never happens, but a detached image stays total. *)
+    (descending address scan), over the unboxed keys: two [land]/[=]
+    compares per occupied slot, empty subtrees skipped, nothing allocated
+    per slot.  Unbound slots never match. *)
 
 val lookup_id : t -> Fr_tern.Header.packet -> int option
 (** [lookup] returning the winning rule id. *)
+
+val find_first : t -> (int -> bool) -> int option
+(** Lowest address whose occupant id satisfies the predicate; a scan
+    that visits each chunk once and skips empty subtrees. *)
+
+val find_last : t -> (int -> bool) -> int option
+(** Highest address whose occupant id satisfies the predicate. *)
 
 val fold : t -> init:'a -> f:('a -> addr:int -> rule_id:int -> 'a) -> 'a
 (** Ascending address order over occupied slots. *)

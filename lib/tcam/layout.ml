@@ -14,7 +14,7 @@ let capacity_needed layout ~n =
       if k < 1 then invalid_arg "Layout.capacity_needed: K must be >= 1";
       n + ((n + k - 1) / k)
 
-let place ?deadmap layout ~tcam_size ~order =
+let place ?deadmap ?payload layout ~tcam_size ~order =
   let n = Array.length order in
   let tcam = Tcam.create ~size:tcam_size in
   (match deadmap with
@@ -38,24 +38,18 @@ let place ?deadmap layout ~tcam_size ~order =
   let w = Array.length writable in
   if capacity_needed layout ~n > w then
     invalid_arg "Layout.place: entries do not fit in the TCAM";
-  (match layout with
-  | Original ->
-      Array.iteri (fun i id -> Tcam.write tcam ~rule_id:id ~addr:writable.(i)) order
-  | Interleaved k ->
-      if k < 1 then invalid_arg "Layout.place: K must be >= 1";
-      Array.iteri
-        (fun i id -> Tcam.write tcam ~rule_id:id ~addr:writable.(i + (i / k)))
-        order
-  | Separated ->
-      let bottom = n / 2 in
-      Array.iteri
-        (fun i id ->
-          let addr =
-            if i < bottom then writable.(i) else writable.(w - (n - i))
-          in
-          Tcam.write tcam ~rule_id:id ~addr)
-        order);
-  Tcam.reset_counters tcam;
+  let position =
+    match layout with
+    | Original -> Fun.id
+    | Interleaved k ->
+        if k < 1 then invalid_arg "Layout.place: K must be >= 1";
+        fun i -> i + (i / k)
+    | Separated ->
+        let bottom = n / 2 in
+        fun i -> if i < bottom then i else w - (n - i)
+  in
+  Tcam.load ?payload tcam
+    (Array.mapi (fun i id -> (id, writable.(position i))) order);
   tcam
 
 type separated_regions = {

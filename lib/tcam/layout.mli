@@ -28,7 +28,13 @@ val capacity_needed : t -> n:int -> int
 (** Minimum TCAM size able to hold [n] entries under the layout (the
     interleaved layout needs room for its gaps). *)
 
-val place : ?deadmap:Deadmap.t -> t -> tcam_size:int -> order:int array -> Tcam.t
+val place :
+  ?deadmap:Deadmap.t ->
+  ?payload:(int -> Fr_tern.Rule.t option) ->
+  t ->
+  tcam_size:int ->
+  order:int array ->
+  Tcam.t
 (** [place layout ~tcam_size ~order] writes [order.(0)] lowest ... to a
     fresh TCAM according to the layout:
     - [Original]: addresses [0 .. n-1];
@@ -40,6 +46,10 @@ val place : ?deadmap:Deadmap.t -> t -> tcam_size:int -> order:int array -> Tcam.
     positions above index the sequence of {e writable} addresses instead
     of raw addresses, so placement packs around known-dead rows — the
     restart path for a switch re-adopting rules onto degraded hardware.
+
+    The table is filled in one {!Tcam.load}: one pass over the chunks,
+    one publish, no ops counted.  [payload] binds each id's rule as it is
+    placed (default: none bound).
     @raise Invalid_argument if the entries do not fit on the writable
     rows. *)
 

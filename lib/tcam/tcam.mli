@@ -1,13 +1,16 @@
 (** The TCAM model: an addressed array of flow-entry slots where lookups
     return the matching entry with the {e highest} physical address (§II).
 
-    The model stores rule ids, not rule payloads; pair it with a rule store
-    for semantic lookups.  It keeps an id->address index, counts every
-    hardware write (the quantity that, times the per-write latency, gives
-    the paper's "TCAM update time"), and can check the dependency-order
-    invariant against a DAG. *)
+    The slots live in one place: the copy-on-write {!Image.t} this table
+    publishes.  Every read ([read], [is_free], [iter_used], ...) goes to
+    the current image, and every write derives and publishes the next one.
+    Beside it the writer keeps two private indexes: id -> address (for
+    {!write}'s move semantics) and id -> bound payload (for
+    {!bind_rule}).  It counts every hardware write (the quantity that,
+    times the per-write latency, gives the paper's "TCAM update time"),
+    and can check the dependency-order invariant against a DAG. *)
 
-type slot = Free | Used of int  (** rule id *)
+type slot = Image.slot = Free | Used of int  (** rule id *)
 
 type t
 
@@ -41,6 +44,16 @@ val erase : t -> addr:int -> unit
 (** Raw hardware erase.  Freeing a free slot is allowed (counts as an op —
     the firmware did issue it). *)
 
+val load : ?payload:(int -> Fr_tern.Rule.t option) -> t -> (int * int) array -> unit
+(** [load t placed] puts every [(rule_id, addr)] of [placed] into the
+    empty table [t] at once: the image's chunks are built in one pass and
+    published once, each id bound to [payload rule_id] when that is
+    [Some] (default: none bound).  A bulk load is set-up, not an update,
+    so no op is counted; the dead map sees one success per address, as
+    for {!write}.
+    @raise Invalid_argument if [t] has entries, or on a repeated id or
+    address, or an address out of range. *)
+
 val apply_sequence : t -> Op.t list -> unit
 (** Apply an update sequence left to right.  Schedulers return sequences in
     {e application order} (see {!Fr_sched.Algo} once linked): for an insert
@@ -61,13 +74,19 @@ val iter_used : t -> (addr:int -> rule_id:int -> unit) -> unit
 
 val used_ids : t -> int list
 
+val first_used : t -> (int -> bool) -> int option
+(** Lowest address whose occupant id satisfies the predicate: a full
+    table scan that walks the image chunk by chunk rather than slot by
+    slot through {!read}. *)
+
 val highest_used : t -> int option
 val lowest_free : t -> int option
 (** Linear scans; convenience for tests and layout setup. *)
 
 val lookup : t -> rules:(int -> Fr_tern.Rule.t) -> Fr_tern.Header.packet -> int option
 (** Highest-address matching entry, as the hardware would answer.  [rules]
-    maps a stored id to its payload. *)
+    maps a stored id to its payload.  The reference scan: it matches each
+    occupant's field bit by bit rather than through the image's keys. *)
 
 val check_dag_order : t -> Fr_dag.Graph.t -> (unit, string) result
 (** For every edge [u -> v] with both entries present: [addr u < addr v].
@@ -97,10 +116,11 @@ val writable_free_in : t -> lo:int -> hi:int -> int option
 (** Lowest free, non-dead address in [\[lo, hi\]] (clamped), if any. *)
 
 val image : t -> Image.t
-(** The current published snapshot.  Re-derived (persistently, O(log n))
-    by every {!write} / {!erase} / {!bind_rule} / {!unbind_rule}, so it
-    always reflects exactly the committed ops — a reader holding it sees
-    a consistent table even while a cascade is mid-flight. *)
+(** The current published snapshot.  Re-derived (copy-on-write: one chunk
+    and its O(log{_32} n) interior path) by every {!write} / {!erase} /
+    {!bind_rule} / {!unbind_rule}, so it always reflects exactly the
+    committed ops — a reader holding it sees a consistent table even while
+    a cascade is mid-flight. *)
 
 val set_publisher : t -> (Image.t -> unit) option -> unit
 (** Install the publication hook: called with the fresh image after every
@@ -109,22 +129,34 @@ val set_publisher : t -> (Image.t -> unit) option -> unit
     load ({i the} epoch/RCU pointer swap). *)
 
 val bind_rule : t -> Fr_tern.Rule.t -> unit
-(** Attach a rule payload to the image (and publish).  Bound {e before}
-    the insertion sequence commits so every mid-cascade snapshot can
-    resolve the id it is about to see. *)
+(** Bind a rule payload to its id (and publish): a placed id's slot is
+    rewritten to carry it, and any later {!write} of the id carries it.
+    Bound {e before} the insertion sequence commits so every mid-cascade
+    snapshot can resolve the id it is about to see. *)
 
 val unbind_rule : t -> id:int -> unit
-(** Detach a payload (and publish), after a removal commits. *)
+(** Drop a payload (and publish), after a removal commits.  A slot still
+    holding the id stays occupied but no longer matches. *)
 
 val image_consistent : t -> (unit, string) result
-(** Cross-check the mutable slot array against the persistent image:
-    same entries at the same addresses, nothing extra on either side.
-    {!Fr_sched.Check.sequence} runs this after every simulated op, so a
-    verified sequence proves each publication point is coherent. *)
+(** Cross-check the writer's indexes against the published image: every
+    id in the id -> address index occupies exactly that slot and carries
+    exactly its bound payload (or none), and the image holds as many
+    entries as the index.  {!Fr_sched.Check.sequence} runs this after
+    every simulated op, so a verified sequence proves each publication
+    point is coherent. *)
 
 val copy : t -> t
-(** Deep copy, including an independent copy of the dead map.  The
-    persistent image is shared (it is immutable) but the copy's publisher
-    is [None]: simulation copies must never publish phantom states. *)
+(** Copy of the indexes and counters, including an independent copy of
+    the dead map.  The image is shared (it is immutable) but the copy's
+    publisher is [None]: simulation copies must never publish phantom
+    states. *)
 
 val pp : Format.formatter -> t -> unit
+
+(**/**)
+
+val unsafe_set_addr : t -> rule_id:int -> addr:int -> unit
+(** Internal: rewrite one id -> address index entry without touching the
+    image.  Exists so tests can show {!image_consistent} catches an index
+    that disagrees with the slots. *)

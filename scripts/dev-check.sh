@@ -88,6 +88,10 @@ echo "== degraded conformance (every scheduler, domains 1 and 4, strict) =="
 "$CLI" conform -k acl4 -n 90 --pool 150 -c 60 -e 300 --seed 31 \
   --degraded 0.10 --strict --domains 4 >/dev/null
 
+echo "== degraded relocation regression (seed 254, 13% dead: no rule lost) =="
+"$CLI" conform -k acl4 -n 20 --pool 40 -c 160 -e 40 --seed 254 \
+  --degraded 0.13 --probes 4 --strict >/dev/null
+
 echo "== net chaos certification (random switch faults, domains 1 = 4 fingerprint) =="
 C1=$(mktemp); C4=$(mktemp)
 "$CLI" net --chaos --cases 25 --seed 2026 --json "$C1" >/dev/null
@@ -134,6 +138,9 @@ J4=$(mktemp -d)
   --chaos 4 --allow-failures --journal "$J4" --domains 4 >/dev/null
 diff -r "$J1" "$J4" || { echo "parallel flush: journals diverged between --domains 1 and 4"; exit 1; }
 rm -rf "$J1" "$J4"
+
+echo "== perfbench smoke (serve; its backend check fails any wrong lookup) =="
+python3 perfbench/run.py --workload serve --seed 1 --seconds 3 --trace 0 >/dev/null
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="

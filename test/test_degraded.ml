@@ -74,6 +74,19 @@ let test_degraded_domains_agree () =
   check "columns agree across domain counts" true
     (fingerprint r1 = fingerprint r4)
 
+(* Pinned from the random-bank property below (seed=254 dead=13%): a
+   Set_action on a dead row relocates through Remove + Add, and the re-Add
+   hit a second, not yet condemned stuck row.  The rule must survive the
+   failed attempt instead of being dropped after its Remove landed. *)
+let test_relocation_keeps_rule () =
+  let trace =
+    Trace.generate ~kind:Dataset.ACL4 ~seed:254 ~initial:20 ~pool:40
+      ~capacity:160 ~events:40 ()
+  in
+  let r = Oracle.run_degraded ~probes:4 ~dead_frac:0.13 trace in
+  if not (Oracle.degraded_clean r) then
+    Alcotest.failf "degraded oracle diverged:@.%a" Oracle.pp_degraded_report r
+
 (* Random seeds and dead fractions: the certification is not tuned to one
    lucky bank. *)
 let prop_degraded_random_banks =
@@ -103,5 +116,9 @@ let suite =
         Alcotest.test_case "domains 1 and 4 agree" `Quick
           test_degraded_domains_agree;
       ]
-      @ List.map QCheck_alcotest.to_alcotest [ prop_degraded_random_banks ] );
+      @ List.map QCheck_alcotest.to_alcotest [ prop_degraded_random_banks ]
+      @ [
+          Alcotest.test_case "relocation keeps the rule (seed 254)" `Quick
+            test_relocation_keeps_rule;
+        ] );
   ]
