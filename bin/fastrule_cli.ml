@@ -767,47 +767,31 @@ let conform_cmd =
     (match domains with
     | Some d when d < 1 -> bad "--domains must be >= 1 (got %d)" d
     | _ -> ());
-    (* A bundle replay re-runs the captured differential mode with the
-       captured parameters — the offline half of --capture. *)
+    (* A service-level fault lane: print the report and exit on its
+       verdict (--strict only decides whether a vacuous lane fails). *)
+    let run_fault ~probes ~batch fault trace =
+      match Oracle.run_service ~probes ~batch ?domains ?capture fault trace with
+      | exception Invalid_argument m -> bad "%s" m
+      | r ->
+          Oracle.pp_service_report Format.std_formatter r;
+          List.iter
+            (Format.printf
+               "%s: %s never wrote into the stuck bank — vacuous \
+                certification (densify the trace or raise --degraded)@."
+               (if strict then "FAIL" else "WARNING"))
+            r.Oracle.vacuous;
+          exit (if Oracle.service_clean ~strict r then 0 else 1)
+    in
+    (* A bundle replay re-runs the captured fault with the captured
+       parameters — the offline half of --capture. *)
     (match replay with
     | Some path when Bundle.is_bundle path -> (
         match Bundle.load path with
         | Error e -> bad "%s" e
         | Ok (info, trace) ->
             Format.printf "replaying %a@." Bundle.pp_info info;
-            if info.Bundle.mode = "failover" then begin
-              let slow_ms =
-                if info.Bundle.slow_ms > 0.0 then info.Bundle.slow_ms else 8.0
-              in
-              let r =
-                Oracle.run_failover ~probes ~batch:info.Bundle.batch
-                  ~shards:(max 2 info.Bundle.shards)
-                  ~fault_shard:info.Bundle.fault_shard ~slow_ms ?domains
-                  ?capture trace
-              in
-              Oracle.pp_failover_report Format.std_formatter r;
-              exit (if Oracle.failover_clean r then 0 else 1)
-            end
-            else if info.Bundle.mode = "degraded" then begin
-              (* the stuck bank re-derives from the trace seed, so the
-                 default dead fraction reproduces the captured run *)
-              let r =
-                Oracle.run_degraded ~probes ~batch:info.Bundle.batch
-                  ~shards:(max 2 info.Bundle.shards)
-                  ~fault_shard:info.Bundle.fault_shard ?domains ?capture trace
-              in
-              Oracle.pp_degraded_report Format.std_formatter r;
-              exit (if Oracle.degraded_clean r then 0 else 1)
-            end
-            else begin
-              let r =
-                Oracle.run_crash ~probes ~batch:info.Bundle.batch
-                  ~mid_drain:info.Bundle.mid_drain ~at:info.Bundle.at ?domains
-                  ?capture trace
-              in
-              Oracle.pp_crash_report Format.std_formatter r;
-              exit (if Oracle.crash_clean r then 0 else 1)
-            end)
+            run_fault ~probes:info.Bundle.probes ~batch:info.Bundle.batch
+              info.Bundle.fault trace)
     | _ -> ());
     let trace =
       match replay with
@@ -820,57 +804,15 @@ let conform_cmd =
           let capacity = Option.value capacity ~default:(4 * n) in
           Trace.generate ~kind ~seed ~initial:n ~pool ~capacity ~events ()
     in
-    (match crash_at with
-    | Some at ->
-        (* Crash-recovery differential mode: kill a journaled service at
-           op [at] and hold the recovered state to the committed prefix,
-           for every scheduler kind. *)
-        let r =
-          Oracle.run_crash ~probes ~batch:crash_batch ~mid_drain:crash_mid ~at
-            ?domains ?capture trace
-        in
-        Oracle.pp_crash_report Format.std_formatter r;
-        exit (if Oracle.crash_clean r then 0 else 1)
-    | None -> ());
-    (match failover_shard with
-    | Some fs ->
-        if fo_shards < 2 then bad "--shards must be >= 2 (got %d)" fo_shards;
-        if fs < 0 || fs >= fo_shards then
-          bad "--failover shard %d out of range (0..%d)" fs (fo_shards - 1);
-        let r =
-          Oracle.run_failover ~probes ~batch:crash_batch ~shards:fo_shards
-            ~fault_shard:fs ?domains ?capture trace
-        in
-        Oracle.pp_failover_report Format.std_formatter r;
-        exit (if Oracle.failover_clean r then 0 else 1)
-    | None -> ());
-    (match degraded_frac with
-    | Some frac ->
-        if fo_shards < 2 then bad "--shards must be >= 2 (got %d)" fo_shards;
-        if frac <= 0.0 || frac >= 1.0 then
-          bad "--degraded must be in (0, 1) (got %g)" frac;
-        let r =
-          Oracle.run_degraded ~probes ~batch:crash_batch ~shards:fo_shards
-            ~dead_frac:frac ?domains ?capture trace
-        in
-        Oracle.pp_degraded_report Format.std_formatter r;
-        let vacuous =
-          List.filter
-            (fun c -> c.Oracle.dg_dead_max = 0)
-            r.Oracle.degraded_columns
-        in
-        List.iter
-          (fun c ->
-            Format.printf
-              "%s: %s never wrote into the stuck bank — vacuous \
-               certification (densify the trace or raise --degraded)@."
-              (if strict then "FAIL" else "WARNING")
-              c.Oracle.degraded_scheduler)
-          vacuous;
-        exit
-          (if Oracle.degraded_clean r && ((not strict) || vacuous = []) then 0
-           else 1)
-    | None -> ());
+    (match (crash_at, failover_shard, degraded_frac) with
+    | Some at, _, _ -> Some (Oracle.Crash { at; mid_drain = crash_mid })
+    | None, Some shard, _ ->
+        Some (Oracle.Slow { shards = fo_shards; shard; ms = 8.0 })
+    | None, None, Some frac ->
+        Some (Oracle.Stuck { shards = fo_shards; shard = 0; frac })
+    | None, None, None -> None)
+    |> Option.iter (fun fault ->
+           run_fault ~probes ~batch:crash_batch fault trace);
     let config =
       {
         Oracle.default_config with
@@ -976,7 +918,9 @@ let conform_cmd =
       & opt (some string) None
       & info [ "replay" ] ~docv:"PATH"
           ~doc:"Replay a saved trace instead of generating one; embedded \
-                recordings are checked for scheduler determinism.")
+                recordings are checked for scheduler determinism.  A \
+                divergence bundle directory re-runs its recorded fault, \
+                batch and probe count.")
   in
   let shrink_arg =
     Arg.(
@@ -1012,7 +956,7 @@ let conform_cmd =
     Arg.(
       value & opt int 4
       & info [ "crash-batch" ] ~docv:"OPS"
-          ~doc:"Flush cadence in crash-recovery mode.")
+          ~doc:"Flush cadence in crash, failover and degraded mode.")
   in
   let failover_shard_arg =
     Arg.(
@@ -1058,19 +1002,20 @@ let conform_cmd =
       value
       & opt (some int) None
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Run the crash/failover services with N flush executors — \
-                with N > 1 a clean oracle is the proof that the parallel \
-                drain path is observationally equivalent to the sequential \
-                one (default: FASTRULE_DOMAINS or 1).")
+          ~doc:"Run the crash/failover/degraded services with N flush \
+                executors — with N > 1 a clean oracle is the proof that \
+                the parallel drain path is observationally equivalent to \
+                the sequential one (default: FASTRULE_DOMAINS or 1).")
   in
   let capture_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "capture" ] ~docv:"DIR"
-          ~doc:"On divergence in crash or failover mode, write a replayable \
-                bundle (trace + parameters + journal copy) under DIR; \
-                replay it with --replay DIR/<bundle>.")
+          ~doc:"On divergence in crash, failover or degraded mode, write a \
+                replayable bundle (trace + fault + batch + probes + journal \
+                copy) per diverging scheduler at DIR/<mode>-<scheduler>; \
+                replay it with --replay DIR/<mode>-<scheduler>.")
   in
   Cmd.v
     (Cmd.info "conform"

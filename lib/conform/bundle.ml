@@ -1,14 +1,16 @@
 module Journal = Fr_resil.Journal
 
-type info = {
-  mode : string;
-  at : int;
-  mid_drain : bool;
-  batch : int;
-  shards : int;
-  fault_shard : int;
-  slow_ms : float;
-}
+type fault =
+  | Crash of { at : int; mid_drain : bool }
+  | Slow of { shards : int; shard : int; ms : float }
+  | Stuck of { shards : int; shard : int; frac : float }
+
+let mode = function
+  | Crash _ -> "crash"
+  | Slow _ -> "failover"
+  | Stuck _ -> "degraded"
+
+type info = { fault : fault; batch : int; probes : int }
 
 let meta_name = "bundle.meta"
 let trace_name = "trace"
@@ -31,19 +33,38 @@ let copy_file src dst =
   let data = In_channel.with_open_bin src In_channel.input_all in
   Out_channel.with_open_bin dst (fun oc -> Out_channel.output_string oc data)
 
+(* Shortest decimal that reads back as the same float, so a bundle
+   replays the exact fraction (and hence the exact stuck bank). *)
+let float_repr x =
+  let s = Printf.sprintf "%.15g" x in
+  if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
 let info_to_string i =
+  let fault_keys =
+    match i.fault with
+    | Crash { at; mid_drain } ->
+        [ "at " ^ string_of_int at; "mid_drain " ^ string_of_bool mid_drain ]
+    | Slow { shards; shard; ms } ->
+        [
+          "shards " ^ string_of_int shards;
+          "fault_shard " ^ string_of_int shard;
+          "slow_ms " ^ float_repr ms;
+        ]
+    | Stuck { shards; shard; frac } ->
+        [
+          "shards " ^ string_of_int shards;
+          "fault_shard " ^ string_of_int shard;
+          "dead_frac " ^ float_repr frac;
+        ]
+  in
   String.concat "\n"
-    [
-      magic;
-      "mode " ^ i.mode;
-      "at " ^ string_of_int i.at;
-      "mid_drain " ^ string_of_bool i.mid_drain;
-      "batch " ^ string_of_int i.batch;
-      "shards " ^ string_of_int i.shards;
-      "fault_shard " ^ string_of_int i.fault_shard;
-      Printf.sprintf "slow_ms %g" i.slow_ms;
-      "";
-    ]
+    ([ magic; "mode " ^ mode i.fault ]
+    @ fault_keys
+    @ [
+        "batch " ^ string_of_int i.batch;
+        "probes " ^ string_of_int i.probes;
+        "";
+      ])
 
 let info_of_string s =
   match String.split_on_char '\n' s with
@@ -59,6 +80,8 @@ let info_of_string s =
                    (String.sub line (i + 1) (String.length line - i - 1)))
           | None -> ())
         rest;
+      (* A key a bundle lacks takes the value every writer used before it
+         was recorded: 8 probes, a 10% stuck bank, 8 ms/op. *)
       let get name parse fallback =
         match Hashtbl.find_opt fields name with
         | None -> Ok fallback
@@ -68,14 +91,25 @@ let info_of_string s =
             | None -> Error (Printf.sprintf "bundle: bad %s %S" name v))
       in
       let ( let* ) = Result.bind in
-      let* mode = get "mode" Option.some "crash" in
-      let* at = get "at" int_of_string_opt 0 in
-      let* mid_drain = get "mid_drain" bool_of_string_opt false in
       let* batch = get "batch" int_of_string_opt 4 in
-      let* shards = get "shards" int_of_string_opt 1 in
-      let* fault_shard = get "fault_shard" int_of_string_opt 0 in
-      let* slow_ms = get "slow_ms" float_of_string_opt 0.0 in
-      Ok { mode; at; mid_drain; batch; shards; fault_shard; slow_ms }
+      let* probes = get "probes" int_of_string_opt 8 in
+      let* shards = get "shards" int_of_string_opt 3 in
+      let* shard = get "fault_shard" int_of_string_opt 0 in
+      let* fault =
+        match Hashtbl.find_opt fields "mode" with
+        | None | Some "crash" ->
+            let* at = get "at" int_of_string_opt 0 in
+            let* mid_drain = get "mid_drain" bool_of_string_opt false in
+            Ok (Crash { at; mid_drain })
+        | Some "failover" ->
+            let* ms = get "slow_ms" float_of_string_opt 8.0 in
+            Ok (Slow { shards; shard; ms })
+        | Some "degraded" ->
+            let* frac = get "dead_frac" float_of_string_opt 0.10 in
+            Ok (Stuck { shards; shard; frac })
+        | Some m -> Error (Printf.sprintf "bundle: unknown mode %S" m)
+      in
+      Ok { fault; batch; probes }
   | _ -> Error "bundle: missing fastrule-bundle header"
 
 let write ~dir info ~trace ~journal =
@@ -113,10 +147,14 @@ let load dir =
     Ok (info, trace)
 
 let pp_info ppf i =
-  Format.fprintf ppf "%s bundle: at %d%s, batch %d, %d shard%s%s%s" i.mode i.at
-    (if i.mid_drain then " (mid-drain)" else "")
-    i.batch i.shards
-    (if i.shards = 1 then "" else "s")
-    (if i.mode = "failover" then Printf.sprintf ", fault shard %d" i.fault_shard
-     else "")
-    (if i.slow_ms > 0.0 then Printf.sprintf ", slow %g ms/op" i.slow_ms else "")
+  Format.fprintf ppf "%s bundle: " (mode i.fault);
+  (match i.fault with
+  | Crash { at; mid_drain } ->
+      Format.fprintf ppf "at %d%s" at (if mid_drain then " (mid-drain)" else "")
+  | Slow { shards; shard; ms } ->
+      Format.fprintf ppf "%d shards, fault shard %d, slow %g ms/op" shards
+        shard ms
+  | Stuck { shards; shard; frac } ->
+      Format.fprintf ppf "%d shards, fault shard %d, dead fraction %g" shards
+        shard frac);
+  Format.fprintf ppf "; batch %d, %d probes" i.batch i.probes

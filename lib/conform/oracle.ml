@@ -460,214 +460,52 @@ let run ?(config = default_config) (trace : Trace.t) =
     wall_ms = setup_ms +. body_ms;
   }
 
-(* -- crash-recovery differential mode -------------------------------- *)
+(* -- service-level fault lanes ----------------------------------------- *)
 
-type crash_column = {
-  crash_scheduler : string;
+type fault = Bundle.fault =
+  | Crash of { at : int; mid_drain : bool }
+  | Slow of { shards : int; shard : int; ms : float }
+  | Stuck of { shards : int; shard : int; frac : float }
+
+type service_lane = {
+  sched : string;
   committed : int;
   suffix : int;
   replayed_drains : int;
   requeued : int;
   recovered_rules : int;
-}
-
-type crash_report = {
-  crash_trace : Trace.t;
-  crash_at : int;
-  mid_drain : bool;
-  crash_columns : crash_column list;
-  crash_divergences : divergence list;
-  crash_wall_ms : float;
-}
-
-let crash_clean r = r.crash_divergences = []
-
-let run_crash ?(probes = 8) ?(batch = 4) ?(mid_drain = false) ?at ?domains
-    ?capture (trace : Trace.t) =
-  if batch <= 0 then invalid_arg "Oracle.run_crash: batch must be positive";
-  let pool = Trace.rules trace in
-  let n_events = List.length trace.Trace.events in
-  let at = match at with None -> n_events | Some a -> max 0 (min a n_events) in
-  let events = Array.of_list trace.Trace.events in
-  let preload = Array.sub pool 0 trace.Trace.initial in
-  let kinds = Firmware.standard_algos Fr_sched.Store.Bit_backend in
-  let divergences = ref [] in
-  let diverge ~scheduler detail =
-    divergences := { event = -1; scheduler; detail } :: !divergences
-  in
-  (* The spec for what recovery must rebuild: a journal-free service of the
-     same shape driven over a prefix with the same flush cadence.  Replay
-     determinism (dirty drains checkpoint, clean ones re-drain identically)
-     is exactly the claim under test. *)
-  let reference kind upto =
-    let s =
-      Service.of_rules ~kind ?domains ~shards:1 ~capacity:trace.Trace.capacity
-        preload
-    in
-    for i = 0 to upto - 1 do
-      Service.submit s (Trace.flow_mod pool events.(i));
-      if (i + 1) mod batch = 0 then ignore (Service.flush s)
-    done;
-    if Service.pending s > 0 then ignore (Service.flush s);
-    s
-  in
-  let agent_of s = Shard.agent (Service.shard s 0) in
-  let compare_states ~scheduler ~stage a b =
-    let img_a = store_image a and img_b = store_image b in
-    if img_a <> img_b then
-      diverge ~scheduler
-        (Printf.sprintf
-           "%s: store differs from committed-prefix replay (%d vs %d rules)"
-           stage (List.length img_a) (List.length img_b));
-    let rng = Rng.create ~seed:(trace.Trace.seed lxor 0x5eed) in
-    for _ = 1 to probes do
-      let r = pool.(Rng.int rng (Array.length pool)) in
-      let pkt = Header.packet_in rng r.Rule.field in
-      let wa = winner_id (Agent.lookup a pkt) in
-      let wb = winner_id (Agent.lookup b pkt) in
-      if wa <> wb then
-        diverge ~scheduler
-          (Printf.sprintf
-             "%s: lookup divergence (recovered matched %d, reference %d)" stage
-             wa wb)
-    done
-  in
-  let run_kind kind =
-    let name = Firmware.algo_kind_name kind in
-    let diverged_before = List.length !divergences in
-    let dir = Journal.fresh_dir ~prefix:"fr-conform-crash" in
-    let service =
-      Service.of_rules ~kind ?domains ~shards:1 ~capacity:trace.Trace.capacity
-        ~journal:dir preload
-    in
-    let committed = ref 0 in
-    for i = 0 to at - 1 do
-      Service.submit service (Trace.flow_mod pool events.(i));
-      if (i + 1) mod batch = 0 then begin
-        ignore (Service.flush service);
-        committed := i + 1
-      end
-    done;
-    Service.simulate_crash ~mid_drain service;
-    let col =
-      match Service.recover ?domains ~journal:dir () with
-      | Error e ->
-          diverge ~scheduler:name ("recovery failed: " ^ e);
-          {
-            crash_scheduler = name;
-            committed = !committed;
-            suffix = at - !committed;
-            replayed_drains = 0;
-            requeued = 0;
-            recovered_rules = 0;
-          }
-      | Ok r ->
-          List.iter
-            (fun w -> diverge ~scheduler:name ("recovery warning: " ^ w))
-            r.Service.warnings;
-          let recovered = r.Service.service in
-          let ragent = agent_of recovered in
-          (match Agent.verify_consistent ragent with
-          | Ok () -> ()
-          | Error e ->
-              diverge ~scheduler:name ("recovered agent inconsistent: " ^ e));
-          (* installed state of the recovered service == committed prefix *)
-          compare_states ~scheduler:name ~stage:"post-recovery" ragent
-            (agent_of (reference kind !committed));
-          (* flushing the requeued suffix == having run the whole prefix *)
-          if Service.pending recovered > 0 then ignore (Service.flush recovered);
-          compare_states ~scheduler:name ~stage:"post-recovery flush" ragent
-            (agent_of (reference kind at));
-          {
-            crash_scheduler = name;
-            committed = !committed;
-            suffix = at - !committed;
-            replayed_drains = r.Service.replayed_drains;
-            requeued = r.Service.requeued;
-            recovered_rules = Service.rule_count recovered;
-          }
-    in
-    (* Capture must beat the cleanup below: the journal is the evidence. *)
-    (match capture with
-    | Some cap when List.length !divergences > diverged_before ->
-        let bundle =
-          Bundle.write
-            ~dir:(Filename.concat cap ("crash-" ^ name))
-            {
-              Bundle.mode = "crash";
-              at;
-              mid_drain;
-              batch;
-              shards = 1;
-              fault_shard = 0;
-              slow_ms = 0.0;
-            }
-            ~trace ~journal:(Some dir)
-        in
-        diverge ~scheduler:name ("divergence bundle captured at " ^ bundle)
-    | Some _ | None -> ());
-    (try
-       Array.iter
-         (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-         (Sys.readdir dir);
-       Sys.rmdir dir
-     with Sys_error _ -> ());
-    col
-  in
-  let crash_columns, crash_wall_ms =
-    Measure.time_ms (fun () -> List.map run_kind kinds)
-  in
-  {
-    crash_trace = trace;
-    crash_at = at;
-    mid_drain;
-    crash_columns;
-    crash_divergences = List.rev !divergences;
-    crash_wall_ms;
-  }
-
-let pp_crash_report ppf r =
-  Format.fprintf ppf "%a@." Trace.pp r.crash_trace;
-  Format.fprintf ppf "  crash after %d events%s@." r.crash_at
-    (if r.mid_drain then " (mid-drain: begin markers on disk, no commit)"
-     else "");
-  List.iter
-    (fun c ->
-      Format.fprintf ppf
-        "  %-9s committed %d + suffix %d; replayed %d drains, requeued %d, \
-         %d rules recovered@."
-        c.crash_scheduler c.committed c.suffix c.replayed_drains c.requeued
-        c.recovered_rules)
-    r.crash_columns;
-  match r.crash_divergences with
-  | [] -> Format.fprintf ppf "  divergences: none@."
-  | ds ->
-      Format.fprintf ppf "  divergences: %d@." (List.length ds);
-      List.iter (fun d -> Format.fprintf ppf "    %a@." pp_divergence d) ds
-
-(* -- failover differential mode --------------------------------------- *)
-
-type failover_column = {
-  failover_scheduler : string;
-  fo_applied : int;
-  fo_failed : int;
-  fo_shed : int;
-  fo_diverted : int;
-  fo_rebalanced : int;
+  applied_ops : int;
+  failed_ops : int;
+  shed : int;
+  diverted : int;
+  degraded_diverted : int;
+  rebalanced : int;
+  dead_max : int;
+  rows_recovered : int;
   heal_flushes : int;
 }
 
-type failover_report = {
-  failover_trace : Trace.t;
-  fo_shards : int;
-  fault_shard : int;
-  fo_slow_ms : float;
-  failover_columns : failover_column list;
-  failover_divergences : divergence list;
-  failover_wall_ms : float;
+type service_report = {
+  fault : fault;
+  batch : int;
+  source : Trace.t;
+  seeded_dead : int;
+  lanes : service_lane list;
+  vacuous : string list;
+  findings : divergence list;
+  elapsed_ms : float;
 }
 
-let failover_clean r = r.failover_divergences = []
+let service_clean ?(strict = false) r =
+  r.findings = [] && ((not strict) || r.vacuous = [])
+
+let rec rm_tree path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun f -> rm_tree (Filename.concat path f)) (Sys.readdir path);
+      (try Sys.rmdir path with Sys_error _ -> ())
+  | false -> ( try Sys.remove path with Sys_error _ -> ())
+  | exception Sys_error _ -> ()
 
 (* The union of every shard's installed table — placement-independent, so
    a service that diverted and rebalanced compares equal to one that never
@@ -679,12 +517,13 @@ let union_image service =
   done;
   List.sort compare !acc
 
-(* Cross-shard lookup winner: highest priority, ties to the smaller id —
-   the same total order {!Agent.semantic_lookup} uses within one shard. *)
-let union_lookup service pkt =
+(* Cross-shard winner under a per-agent [lookup] (the TCAM answer or the
+   semantic scan): highest priority, ties to the smaller id — the same
+   total order {!Agent.semantic_lookup} uses within one shard. *)
+let union_winner lookup service pkt =
   let best = ref None in
   for i = 0 to Service.shards service - 1 do
-    match Agent.lookup (Shard.agent (Service.shard service i)) pkt with
+    match lookup (Shard.agent (Service.shard service i)) pkt with
     | None -> ()
     | Some (r : Rule.t) -> (
         match !best with
@@ -696,340 +535,246 @@ let union_lookup service pkt =
   done;
   winner_id !best
 
-let run_failover ?(probes = 8) ?(batch = 4) ?(shards = 3) ?(fault_shard = 0)
-    ?(slow_ms = 8.0) ?domains ?capture (trace : Trace.t) =
-  if batch <= 0 then invalid_arg "Oracle.run_failover: batch must be positive";
-  if shards < 2 then
-    invalid_arg "Oracle.run_failover: failover needs at least 2 shards";
-  if fault_shard < 0 || fault_shard >= shards then
-    invalid_arg "Oracle.run_failover: fault_shard out of range";
-  if slow_ms <= 0.0 then
-    invalid_arg "Oracle.run_failover: slow_ms must be positive";
-  let pool = Trace.rules trace in
-  let events = Array.of_list trace.Trace.events in
-  let n_events = Array.length events in
-  let preload = Array.sub pool 0 trace.Trace.initial in
-  let kinds = Firmware.standard_algos Fr_sched.Store.Bit_backend in
-  let divergences = ref [] in
-  let diverge ~scheduler detail =
-    divergences := { event = -1; scheduler; detail } :: !divergences
-  in
-  (* A slow threshold between the healthy per-op cost (~0.6 ms) and the
-     faulted one (base + slow_ms) — healthy shards never trip it, the
-     sick one always does. *)
-  let resil =
-    {
-      Service.default_resil with
-      Service.failover = true;
-      slow_drain_ms = 2.0;
-      breaker_slow_threshold = 2;
-      breaker_cooldown = 2;
-    }
-  in
-  let run_kind kind =
-    let name = Firmware.algo_kind_name kind in
-    let diverged_before = List.length !divergences in
-    let drive ~faulted =
-      let s =
-        Service.of_rules ~kind ?domains ~shards ~capacity:trace.Trace.capacity
-          ~resil preload
-      in
-      if faulted then
-        Service.set_fault s ~shard:fault_shard
-          (Some
-             (Fault.create ~slow_ms ~seed:(trace.Trace.seed lxor 0xfa11) ()));
-      for i = 0 to n_events - 1 do
-        Service.submit s (Trace.flow_mod pool events.(i));
-        if (i + 1) mod batch = 0 then ignore (Service.flush s)
-      done;
-      if Service.pending s > 0 then ignore (Service.flush s);
-      s
-    in
-    let faulted = drive ~faulted:true in
-    let twin = drive ~faulted:false in
-    (* Heal, then keep flushing: cooldown expires, the half-open probe
-       closes the breaker, and the rebalance pass drains the overlay home
-       in bounded batches. *)
-    Service.set_fault faulted ~shard:fault_shard None;
-    let converged () =
-      Service.diverted_count faulted = 0
-      && Service.pending faulted = 0
-      &&
-      let ok = ref true in
-      for i = 0 to shards - 1 do
-        if Service.breaker_state faulted i <> Breaker.Closed then ok := false
-      done;
-      !ok
-    in
-    let heal_flushes = ref 0 in
-    while (not (converged ())) && !heal_flushes < 100 do
-      ignore (Service.flush faulted);
-      incr heal_flushes
-    done;
-    let sum f =
-      let acc = ref 0 in
-      for i = 0 to shards - 1 do
-        acc := !acc + f (Shard.telemetry (Service.shard faulted i))
-      done;
-      !acc
-    in
-    let fo_shed = sum Telemetry.shed in
-    let fo_failed = sum Telemetry.failed in
-    let fo_diverted = sum Telemetry.diverted in
-    let fo_rebalanced = sum Telemetry.rebalanced in
-    if fo_shed > 0 then
-      diverge ~scheduler:name
-        (Printf.sprintf "graceful degradation violated: %d submits shed"
-           fo_shed);
-    if fo_failed > 0 then
-      diverge ~scheduler:name
-        (Printf.sprintf "%d ops failed under a latency-only fault" fo_failed);
-    if fo_diverted = 0 then
-      diverge ~scheduler:name
-        "vacuous run: the latency fault never diverted any id";
-    if not (converged ()) then
-      diverge ~scheduler:name
-        (Printf.sprintf
-           "failover did not converge: %d ids still diverted after %d heal \
-            flushes"
-           (Service.diverted_count faulted)
-           !heal_flushes);
-    let img_a = union_image faulted and img_b = union_image twin in
-    if img_a <> img_b then
-      diverge ~scheduler:name
-        (Printf.sprintf
-           "final store differs from the never-faulted twin (%d vs %d rules)"
-           (List.length img_a) (List.length img_b));
-    let rng = Rng.create ~seed:(trace.Trace.seed lxor 0xf10e) in
-    for _ = 1 to probes do
-      let r = pool.(Rng.int rng (Array.length pool)) in
-      let pkt = Header.packet_in rng r.Rule.field in
-      let wa = union_lookup faulted pkt in
-      let wb = union_lookup twin pkt in
-      if wa <> wb then
-        diverge ~scheduler:name
-          (Printf.sprintf
-             "lookup divergence under failover (healed matched %d, twin %d)" wa
-             wb)
-    done;
-    (match capture with
-    | Some cap when List.length !divergences > diverged_before ->
-        let bundle =
-          Bundle.write
-            ~dir:(Filename.concat cap ("failover-" ^ name))
-            {
-              Bundle.mode = "failover";
-              at = n_events;
-              mid_drain = false;
-              batch;
-              shards;
-              fault_shard;
-              slow_ms;
-            }
-            ~trace ~journal:None
-        in
-        diverge ~scheduler:name ("divergence bundle captured at " ^ bundle)
-    | Some _ | None -> ());
-    {
-      failover_scheduler = name;
-      fo_applied = sum Telemetry.applied;
-      fo_failed;
-      fo_shed;
-      fo_diverted;
-      fo_rebalanced;
-      heal_flushes = !heal_flushes;
-    }
-  in
-  let failover_columns, failover_wall_ms =
-    Measure.time_ms (fun () -> List.map run_kind kinds)
-  in
-  {
-    failover_trace = trace;
-    fo_shards = shards;
-    fault_shard;
-    fo_slow_ms = slow_ms;
-    failover_columns;
-    failover_divergences = List.rev !divergences;
-    failover_wall_ms;
-  }
-
-let pp_failover_report ppf r =
-  Format.fprintf ppf "%a@." Trace.pp r.failover_trace;
-  Format.fprintf ppf
-    "  failover: %d shards, persistent %g ms/op latency fault on shard %d@."
-    r.fo_shards r.fo_slow_ms r.fault_shard;
-  List.iter
-    (fun c ->
-      Format.fprintf ppf
-        "  %-9s %4d applied, %d failed, %d shed; %d diverted, %d rebalanced \
-         home in %d heal flushes@."
-        c.failover_scheduler c.fo_applied c.fo_failed c.fo_shed c.fo_diverted
-        c.fo_rebalanced c.heal_flushes)
-    r.failover_columns;
-  match r.failover_divergences with
-  | [] -> Format.fprintf ppf "  divergences: none@."
-  | ds ->
-      Format.fprintf ppf "  divergences: %d@." (List.length ds);
-      List.iter (fun d -> Format.fprintf ppf "    %a@." pp_divergence d) ds
-
-(* -- degraded-hardware differential mode ------------------------------ *)
-
-type degraded_column = {
-  degraded_scheduler : string;
-  dg_applied : int;
-  dg_failed : int;
-  dg_shed : int;
-  dg_diverted : int;
-  dg_degraded_diverted : int;
-  dg_dead_max : int;
-  dg_recovered : int;
-  dg_heal_flushes : int;
-}
-
-type degraded_report = {
-  degraded_trace : Trace.t;
-  dg_shards : int;
-  dg_fault_shard : int;
-  dg_dead_frac : float;
-  dg_seeded_dead : int;
-  degraded_columns : degraded_column list;
-  degraded_divergences : divergence list;
-  degraded_wall_ms : float;
-}
-
-let degraded_clean r = r.degraded_divergences = []
-
-(* Cross-shard specification winner: the same total order as
-   {!union_lookup}, evaluated by linear scan over every shard's store. *)
-let union_semantic service pkt =
-  let best = ref None in
-  for i = 0 to Service.shards service - 1 do
-    match Agent.semantic_lookup (Shard.agent (Service.shard service i)) pkt with
-    | None -> ()
-    | Some (r : Rule.t) -> (
-        match !best with
-        | Some (b : Rule.t)
-          when b.Rule.priority > r.Rule.priority
-               || (b.Rule.priority = r.Rule.priority && b.Rule.id < r.Rule.id)
-          -> ()
-        | _ -> best := Some r)
-  done;
-  winner_id !best
-
-let run_degraded ?(probes = 8) ?(batch = 4) ?(shards = 3) ?(fault_shard = 0)
-    ?(dead_frac = 0.10) ?domains ?capture (trace : Trace.t) =
-  if batch <= 0 then invalid_arg "Oracle.run_degraded: batch must be positive";
-  if shards < 2 then
-    invalid_arg "Oracle.run_degraded: partial failover needs at least 2 shards";
-  if fault_shard < 0 || fault_shard >= shards then
-    invalid_arg "Oracle.run_degraded: fault_shard out of range";
-  if dead_frac <= 0.0 || dead_frac >= 1.0 then
-    invalid_arg "Oracle.run_degraded: dead_frac must be in (0, 1)";
-  let pool = Trace.rules trace in
-  let events = Array.of_list trace.Trace.events in
-  let n_events = Array.length events in
-  let preload = Array.sub pool 0 trace.Trace.initial in
-  let kinds = Firmware.standard_algos Fr_sched.Store.Bit_backend in
-  let divergences = ref [] in
-  let diverge ~scheduler detail =
-    divergences := { event = -1; scheduler; detail } :: !divergences
-  in
-  (* The stuck bank: [dead_frac] of the sick shard's rows, drawn once per
-     trace so every scheduler (and every domain count) faces the same
-     holes. *)
+(* The stuck bank: [frac] of the sick shard's rows, drawn once per trace
+   so every scheduler (and every domain count) faces the same holes. *)
+let stuck_bank (trace : Trace.t) frac =
   let n_dead =
-    max 1 (int_of_float (dead_frac *. float_of_int trace.Trace.capacity))
+    max 1 (int_of_float (frac *. float_of_int trace.Trace.capacity))
   in
-  let stuck =
-    let rng = Rng.create ~seed:(trace.Trace.seed lxor 0xdead) in
-    let seen = Hashtbl.create n_dead in
-    let rec draw acc k =
-      if k = 0 then acc
-      else
-        let a = Rng.int rng trace.Trace.capacity in
-        if Hashtbl.mem seen a then draw acc k
-        else begin
-          Hashtbl.replace seen a ();
-          draw (a :: acc) (k - 1)
-        end
+  let rng = Rng.create ~seed:(trace.Trace.seed lxor 0xdead) in
+  let seen = Hashtbl.create n_dead in
+  let rec draw acc k =
+    if k = 0 then acc
+    else
+      let a = Rng.int rng trace.Trace.capacity in
+      if Hashtbl.mem seen a then draw acc k
+      else begin
+        Hashtbl.replace seen a ();
+        draw (a :: acc) (k - 1)
+      end
+  in
+  draw [] n_dead
+
+let run_service ?(probes = 8) ?(batch = 4) ?domains ?capture fault
+    (trace : Trace.t) =
+  let fail fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Oracle.run_service: " ^ m)) fmt
+  in
+  if batch <= 0 then fail "batch must be positive (got %d)" batch;
+  let sick_shard shards shard =
+    if shards < 2 then fail "failover needs at least 2 shards (got %d)" shards;
+    if shard < 0 || shard >= shards then
+      fail "fault shard %d out of range (0..%d)" shard (shards - 1)
+  in
+  let pool = Trace.rules trace in
+  let events = Array.of_list trace.Trace.events in
+  let n_events = Array.length events in
+  let preload = Array.sub pool 0 trace.Trace.initial in
+  let kinds = Firmware.standard_algos Fr_sched.Store.Bit_backend in
+  let seed = trace.Trace.seed in
+  (* Per fault: its validation, the service shape, its supervision
+     profile, and the plan the faulted run installs on its sick shard
+     (fresh per run — a plan carries its own PRNG). *)
+  let fault, shards, resil, sick, seeded_dead =
+    match fault with
+    | Crash { at; mid_drain } ->
+        let at = max 0 (min at n_events) in
+        (Crash { at; mid_drain }, 1, Service.default_resil, None, 0)
+    | Slow { shards; shard; ms } ->
+        sick_shard shards shard;
+        if ms <= 0.0 then
+          fail "slow fault must cost a positive ms/op (got %g)" ms;
+        (* A slow threshold between the healthy per-op cost (~0.6 ms) and
+           the faulted one (base + ms) — healthy shards never trip it,
+           the sick one always does. *)
+        ( fault,
+          shards,
+          {
+            Service.default_resil with
+            Service.failover = true;
+            slow_drain_ms = 2.0;
+            breaker_slow_threshold = 2;
+            breaker_cooldown = 2;
+          },
+          Some
+            ( shard,
+              fun () -> Fault.create ~slow_ms:ms ~seed:(seed lxor 0xfa11) () ),
+          0 )
+    | Stuck { shards; shard; frac } ->
+        (* Stuck writes are damage, so the supervisor must absorb the
+           discovery: a failed op condemns its target row and the retry
+           reschedules around it.  A generous retry budget lets a drain
+           end damage-free even when successive cascades keep probing
+           fresh holes, so the breaker never mistakes the sick shard for
+           a dead one — it is not dead, merely smaller. *)
+        sick_shard shards shard;
+        if frac <= 0.0 || frac >= 1.0 then
+          fail "dead fraction must be in (0, 1) (got %g)" frac;
+        let stuck = stuck_bank trace frac in
+        ( fault,
+          shards,
+          {
+            Service.default_resil with
+            Service.failover = true;
+            retry_budget = 8;
+            breaker_cooldown = 2;
+          },
+          Some (shard, fun () -> Fault.create ~stuck ~seed:(seed lxor 0xdf) ()),
+          List.length stuck )
+  in
+  let divergences = ref [] in
+  let diverge ~scheduler detail =
+    divergences := { event = -1; scheduler; detail } :: !divergences
+  in
+  let probe_packets rng n f =
+    for _ = 1 to n do
+      let r = pool.(Rng.int rng (Array.length pool)) in
+      f (Header.packet_in rng r.Rule.field)
+    done
+  in
+  (* Build a service of the lane's shape and drive the first [upto] events
+     through it, flushing every [batch]; [on_flush] sees each flush
+     boundary (the last event index it covers, or [upto] for the settling
+     flush of the leftover tail). *)
+  let drive ?journal ?(faulted = false) ?(settle = true)
+      ?(on_flush = fun _ _ -> ()) kind upto =
+    let s =
+      Service.of_rules ~kind ?domains ~shards ~capacity:trace.Trace.capacity
+        ~resil ?journal preload
     in
-    draw [] n_dead
+    (match sick with
+    | Some (shard, plan) when faulted ->
+        Service.set_fault s ~shard (Some (plan ()))
+    | Some _ | None -> ());
+    for i = 0 to upto - 1 do
+      Service.submit s (Trace.flow_mod pool events.(i));
+      if (i + 1) mod batch = 0 then begin
+        ignore (Service.flush s);
+        on_flush s i
+      end
+    done;
+    if settle && Service.pending s > 0 then begin
+      ignore (Service.flush s);
+      on_flush s upto
+    end;
+    s
   in
-  (* Stuck writes are damage, so the supervisor must absorb the discovery:
-     a failed op condemns its target row and the retry reschedules around
-     it.  A generous retry budget lets a drain end damage-free even when
-     successive cascades keep probing fresh holes, so the breaker never
-     mistakes the sick shard for a dead one — it is not dead, merely
-     smaller. *)
-  let resil =
+  (* Hold [a] to the reference [b]: equal union tables, and equal TCAM
+     winners on [probes] packets from a fresh stream salted with [salt]. *)
+  let agree ~scheduler ~salt ~store ~lookup a b =
+    let img_a = union_image a and img_b = union_image b in
+    if img_a <> img_b then
+      diverge ~scheduler
+        (Printf.sprintf "%s (%d vs %d rules)" store (List.length img_a)
+           (List.length img_b));
+    probe_packets (Rng.create ~seed:(seed lxor salt)) probes (fun pkt ->
+        let wa = union_winner Agent.lookup a pkt in
+        let wb = union_winner Agent.lookup b pkt in
+        if wa <> wb then diverge ~scheduler (lookup wa wb))
+  in
+  let blank sched =
     {
-      Service.default_resil with
-      Service.failover = true;
-      retry_budget = 8;
-      breaker_cooldown = 2;
+      sched;
+      committed = 0;
+      suffix = 0;
+      replayed_drains = 0;
+      requeued = 0;
+      recovered_rules = 0;
+      applied_ops = 0;
+      failed_ops = 0;
+      shed = 0;
+      diverted = 0;
+      degraded_diverted = 0;
+      rebalanced = 0;
+      dead_max = 0;
+      rows_recovered = 0;
+      heal_flushes = 0;
     }
   in
-  let run_kind kind =
-    let name = Firmware.algo_kind_name kind in
-    let diverged_before = List.length !divergences in
-    let dead_max = ref 0 in
-    let probe_rng = Rng.create ~seed:(trace.Trace.seed lxor 0x9b0e) in
-    let drive ~faulted =
-      let s =
-        Service.of_rules ~kind ?domains ~shards ~capacity:trace.Trace.capacity
-          ~resil preload
-      in
-      if faulted then
-        Service.set_fault s ~shard:fault_shard
-          (Some (Fault.create ~stuck ~seed:(trace.Trace.seed lxor 0xdf) ()));
-      let checkpoint i =
-        (* Probe point: the hardware answer must match the semantic scan
-           at every flush boundary, holes or no holes. *)
-        if faulted then begin
-          dead_max := max !dead_max (Service.dead_rows s);
-          for _ = 1 to 2 do
-            let r = pool.(Rng.int probe_rng (Array.length pool)) in
-            let pkt = Header.packet_in probe_rng r.Rule.field in
-            let wa = union_lookup s pkt in
-            let wb = union_semantic s pkt in
-            if wa <> wb then
-              diverge ~scheduler:name
-                (Printf.sprintf
-                   "lookup/semantic divergence at event %d under dead rows \
-                    (hw %d, spec %d)"
-                   i wa wb)
-          done
-        end
-      in
-      for i = 0 to n_events - 1 do
-        Service.submit s (Trace.flow_mod pool events.(i));
-        if (i + 1) mod batch = 0 then begin
-          ignore (Service.flush s);
-          checkpoint i
-        end
-      done;
-      if Service.pending s > 0 then begin
-        ignore (Service.flush s);
-        checkpoint n_events
-      end;
-      s
+  (* Crash: kill the journaled run after [at] events, recover from the
+     journal alone, and hold the result to journal-free references driven
+     over the committed prefix (before the requeued suffix flushes) and
+     over the whole prefix (after). *)
+  let crash_lane ~at ~mid_drain name kind journal =
+    let committed = ref 0 in
+    let s =
+      drive ~journal ~settle:false
+        ~on_flush:(fun _ i -> committed := i + 1)
+        kind at
     in
-    let faulted = drive ~faulted:true in
-    let twin = drive ~faulted:false in
-    (* Heal the silicon, then keep flushing: the probe drill revives the
-       condemned rows, room returns, and the rebalance pass drains any
-       diverted ids home through the epoch fence. *)
-    Service.set_fault faulted ~shard:fault_shard None;
+    Service.simulate_crash ~mid_drain s;
+    let lane =
+      { (blank name) with committed = !committed; suffix = at - !committed }
+    in
+    match Service.recover ?domains ~journal () with
+    | Error e ->
+        diverge ~scheduler:name ("recovery failed: " ^ e);
+        lane
+    | Ok r ->
+        List.iter
+          (fun w -> diverge ~scheduler:name ("recovery warning: " ^ w))
+          r.Service.warnings;
+        let recovered = r.Service.service in
+        (match
+           Agent.verify_consistent (Shard.agent (Service.shard recovered 0))
+         with
+        | Ok () -> ()
+        | Error e ->
+            diverge ~scheduler:name ("recovered agent inconsistent: " ^ e));
+        let against stage upto =
+          agree ~scheduler:name ~salt:0x5eed
+            ~store:(stage ^ ": store differs from committed-prefix replay")
+            ~lookup:
+              (Printf.sprintf
+                 "%s: lookup divergence (recovered matched %d, reference %d)"
+                 stage)
+            recovered (drive kind upto)
+        in
+        against "post-recovery" !committed;
+        if Service.pending recovered > 0 then ignore (Service.flush recovered);
+        against "post-recovery flush" at;
+        {
+          lane with
+          replayed_drains = r.Service.replayed_drains;
+          requeued = r.Service.requeued;
+          recovered_rules = Service.rule_count recovered;
+        }
+  in
+  (* Slow / Stuck: drive a faulted run and a never-faulted twin, heal the
+     fault, keep flushing until the overlay drains home (and the probe
+     drill revives every condemned row), then hold the healed run to the
+     twin. *)
+  let heal_lane name kind =
+    let dead_max = ref 0 in
+    let on_flush =
+      match fault with
+      | Stuck _ ->
+          (* Probe point: the hardware answer must match the semantic scan
+             at every flush boundary, holes or no holes. *)
+          let rng = Rng.create ~seed:(seed lxor 0x9b0e) in
+          fun s i ->
+            dead_max := max !dead_max (Service.dead_rows s);
+            probe_packets rng 2 (fun pkt ->
+                let wa = union_winner Agent.lookup s pkt in
+                let wb = union_winner Agent.semantic_lookup s pkt in
+                if wa <> wb then
+                  diverge ~scheduler:name
+                    (Printf.sprintf
+                       "lookup/semantic divergence at event %d under dead \
+                        rows (hw %d, spec %d)"
+                       i wa wb))
+      | Crash _ | Slow _ -> fun _ _ -> ()
+    in
+    let faulted = drive ~faulted:true ~on_flush kind n_events in
+    let twin = drive kind n_events in
+    Option.iter (fun (shard, _) -> Service.set_fault faulted ~shard None) sick;
     let converged () =
       Service.diverted_count faulted = 0
       && Service.pending faulted = 0
       && Service.dead_rows faulted = 0
-      &&
-      let ok = ref true in
-      for i = 0 to shards - 1 do
-        if Service.breaker_state faulted i <> Breaker.Closed then ok := false
-      done;
-      !ok
+      && List.for_all
+           (fun i -> Service.breaker_state faulted i = Breaker.Closed)
+           (List.init shards Fun.id)
     in
     let heal_flushes = ref 0 in
     while (not (converged ())) && !heal_flushes < 100 do
@@ -1037,115 +782,160 @@ let run_degraded ?(probes = 8) ?(batch = 4) ?(shards = 3) ?(fault_shard = 0)
       incr heal_flushes
     done;
     let sum f =
-      let acc = ref 0 in
-      for i = 0 to shards - 1 do
-        acc := !acc + f (Shard.telemetry (Service.shard faulted i))
-      done;
-      !acc
+      List.fold_left
+        (fun acc i -> acc + f (Shard.telemetry (Service.shard faulted i)))
+        0 (List.init shards Fun.id)
     in
-    let dg_shed = sum Telemetry.shed in
-    (* [Telemetry.failed] is NOT a gate: it counts the per-drain transient
-       failures that discover the holes before the retry heals them — the
-       price of learning, not damage. *)
-    if dg_shed > 0 then
+    let lane =
+      {
+        (blank name) with
+        applied_ops = sum Telemetry.applied;
+        failed_ops = sum Telemetry.failed;
+        shed = sum Telemetry.shed;
+        diverted = sum Telemetry.diverted;
+        degraded_diverted = sum Telemetry.degraded_diverted;
+        rebalanced = sum Telemetry.rebalanced;
+        dead_max = !dead_max;
+        rows_recovered = sum Telemetry.rows_recovered;
+        heal_flushes = !heal_flushes;
+      }
+    in
+    if lane.shed > 0 then
       diverge ~scheduler:name
         (Printf.sprintf "graceful degradation violated: %d submits shed"
-           dg_shed);
-    (* Whether the stuck bank was ever touched ([dg_dead_max = 0] means
-       the workload never wrote into it) is workload-dependent, so it is
-       reported in the column rather than gated here — certification
-       entry points assert [dg_dead_max > 0] on traces dense enough to
-       guarantee contact. *)
+           lane.shed);
+    (* Under a stuck bank, [failed_ops] counts the transient failures that
+       discover the holes before the retry heals them — the price of
+       learning, not damage — and whether the bank was ever touched is
+       workload-dependent, so it lands in [vacuous] rather than here. *)
+    (match fault with
+    | Slow _ ->
+        if lane.failed_ops > 0 then
+          diverge ~scheduler:name
+            (Printf.sprintf "%d ops failed under a latency-only fault"
+               lane.failed_ops);
+        if lane.diverted = 0 then
+          diverge ~scheduler:name
+            "vacuous run: the latency fault never diverted any id"
+    | Crash _ | Stuck _ -> ());
     if not (converged ()) then
       diverge ~scheduler:name
         (Printf.sprintf
-           "degraded run did not converge: %d diverted, %d pending, %d dead \
-            rows after %d heal flushes"
+           "%s run did not converge: %d diverted, %d pending, %d dead rows \
+            after %d heal flushes"
+           (Bundle.mode fault)
            (Service.diverted_count faulted)
            (Service.pending faulted)
            (Service.dead_rows faulted)
            !heal_flushes);
-    let img_a = union_image faulted and img_b = union_image twin in
-    if img_a <> img_b then
-      diverge ~scheduler:name
-        (Printf.sprintf
-           "final store differs from the never-faulted twin (%d vs %d rules)"
-           (List.length img_a) (List.length img_b));
-    let rng = Rng.create ~seed:(trace.Trace.seed lxor 0xd1f) in
-    for _ = 1 to probes do
-      let r = pool.(Rng.int rng (Array.length pool)) in
-      let pkt = Header.packet_in rng r.Rule.field in
-      let wa = union_lookup faulted pkt in
-      let wb = union_lookup twin pkt in
-      if wa <> wb then
-        diverge ~scheduler:name
-          (Printf.sprintf
-             "lookup divergence after heal (healed matched %d, twin %d)" wa wb)
-    done;
+    let salt, after =
+      match fault with
+      | Slow _ -> (0xf10e, "under failover")
+      | Crash _ | Stuck _ -> (0xd1f, "after heal")
+    in
+    agree ~scheduler:name ~salt
+      ~store:"final store differs from the never-faulted twin"
+      ~lookup:
+        (Printf.sprintf "lookup divergence %s (healed matched %d, twin %d)"
+           after)
+      faulted twin;
+    lane
+  in
+  let run_kind kind =
+    let name = Firmware.algo_kind_name kind in
+    let diverged_before = List.length !divergences in
+    let lane, journal =
+      match fault with
+      | Crash { at; mid_drain } ->
+          let dir = Journal.fresh_dir ~prefix:"fr-conform-crash" in
+          (crash_lane ~at ~mid_drain name kind dir, Some dir)
+      | Slow _ | Stuck _ -> (heal_lane name kind, None)
+    in
+    (* Capture must beat the cleanup below: the journal is the evidence. *)
     (match capture with
     | Some cap when List.length !divergences > diverged_before ->
         let bundle =
           Bundle.write
-            ~dir:(Filename.concat cap ("degraded-" ^ name))
-            {
-              Bundle.mode = "degraded";
-              at = n_events;
-              mid_drain = false;
-              batch;
-              shards;
-              fault_shard;
-              slow_ms = 0.0;
-            }
-            ~trace ~journal:None
+            ~dir:(Filename.concat cap (Bundle.mode fault ^ "-" ^ name))
+            { Bundle.fault; batch; probes }
+            ~trace ~journal
         in
         diverge ~scheduler:name ("divergence bundle captured at " ^ bundle)
     | Some _ | None -> ());
-    {
-      degraded_scheduler = name;
-      dg_applied = sum Telemetry.applied;
-      dg_failed = sum Telemetry.failed;
-      dg_shed;
-      dg_diverted = sum Telemetry.diverted;
-      dg_degraded_diverted = sum Telemetry.degraded_diverted;
-      dg_dead_max = !dead_max;
-      dg_recovered = sum Telemetry.rows_recovered;
-      dg_heal_flushes = !heal_flushes;
-    }
+    Option.iter rm_tree journal;
+    lane
   in
-  let degraded_columns, degraded_wall_ms =
-    Measure.time_ms (fun () -> List.map run_kind kinds)
+  let lanes, elapsed_ms = Measure.time_ms (fun () -> List.map run_kind kinds) in
+  let vacuous =
+    match fault with
+    | Stuck _ ->
+        List.filter_map
+          (fun l -> if l.dead_max = 0 then Some l.sched else None)
+          lanes
+    | Crash _ | Slow _ -> []
   in
   {
-    degraded_trace = trace;
-    dg_shards = shards;
-    dg_fault_shard = fault_shard;
-    dg_dead_frac = dead_frac;
-    dg_seeded_dead = n_dead;
-    degraded_columns;
-    degraded_divergences = List.rev !divergences;
-    degraded_wall_ms;
+    fault;
+    batch;
+    source = trace;
+    seeded_dead;
+    lanes;
+    vacuous;
+    findings = List.rev !divergences;
+    elapsed_ms;
   }
 
-let pp_degraded_report ppf r =
-  Format.fprintf ppf "%a@." Trace.pp r.degraded_trace;
-  Format.fprintf ppf
-    "  degraded: %d shards, %.0f%% stuck bank (%d rows) on shard %d@."
-    r.dg_shards
-    (100.0 *. r.dg_dead_frac)
-    r.dg_seeded_dead r.dg_fault_shard;
-  List.iter
-    (fun c ->
-      Format.fprintf ppf
-        "  %-9s %4d applied, %d transient-failed, %d shed; %d diverted (%d \
-         degraded), %d dead max, %d recovered, healed in %d flushes@."
-        c.degraded_scheduler c.dg_applied c.dg_failed c.dg_shed c.dg_diverted
-        c.dg_degraded_diverted c.dg_dead_max c.dg_recovered c.dg_heal_flushes)
-    r.degraded_columns;
-  (match r.degraded_divergences with
+(* The closing block of every report: the divergence count, then at most
+   [limit] of them. *)
+let pp_divergences ?(limit = max_int) ppf = function
   | [] -> Format.fprintf ppf "  divergences: none@."
   | ds ->
-      Format.fprintf ppf "  divergences: %d@." (List.length ds);
-      List.iter (fun d -> Format.fprintf ppf "    %a@." pp_divergence d) ds)
+      let n = List.length ds in
+      Format.fprintf ppf "  divergences: %d@." n;
+      List.iteri
+        (fun i d ->
+          if i < limit then Format.fprintf ppf "    %a@." pp_divergence d)
+        ds;
+      if n > limit then Format.fprintf ppf "    ... and %d more@." (n - limit)
+
+let pp_service_report ppf r =
+  Format.fprintf ppf "%a@." Trace.pp r.source;
+  let pp_lane =
+    match r.fault with
+    | Crash { at; mid_drain } ->
+        Format.fprintf ppf "  crash after %d events%s@." at
+          (if mid_drain then " (mid-drain: begin markers on disk, no commit)"
+           else "");
+        fun l ->
+          Format.fprintf ppf
+            "  %-9s committed %d + suffix %d; replayed %d drains, requeued \
+             %d, %d rules recovered@."
+            l.sched l.committed l.suffix l.replayed_drains l.requeued
+            l.recovered_rules
+    | Slow { shards; shard; ms } ->
+        Format.fprintf ppf
+          "  failover: %d shards, persistent %g ms/op latency fault on shard \
+           %d@."
+          shards ms shard;
+        fun l ->
+          Format.fprintf ppf
+            "  %-9s %4d applied, %d failed, %d shed; %d diverted, %d \
+             rebalanced home in %d heal flushes@."
+            l.sched l.applied_ops l.failed_ops l.shed l.diverted l.rebalanced
+            l.heal_flushes
+    | Stuck { shards; shard; frac } ->
+        Format.fprintf ppf
+          "  degraded: %d shards, %.0f%% stuck bank (%d rows) on shard %d@."
+          shards (100.0 *. frac) r.seeded_dead shard;
+        fun l ->
+          Format.fprintf ppf
+            "  %-9s %4d applied, %d transient-failed, %d shed; %d diverted \
+             (%d degraded), %d dead max, %d recovered, healed in %d flushes@."
+            l.sched l.applied_ops l.failed_ops l.shed l.diverted
+            l.degraded_diverted l.dead_max l.rows_recovered l.heal_flushes
+  in
+  List.iter pp_lane r.lanes;
+  pp_divergences ppf r.findings
 
 let pp_report ppf r =
   Format.fprintf ppf "%a@." Trace.pp r.trace;
@@ -1168,14 +958,7 @@ let pp_report ppf r =
        Printf.sprintf " (%.0f checked-ops/s)"
          (float_of_int r.checked_ops /. (r.verify_ms /. 1000.))
      else "");
-  match r.divergences with
-  | [] -> Format.fprintf ppf "  divergences: none@."
-  | ds ->
-      Format.fprintf ppf "  divergences: %d@." (List.length ds);
-      let shown = List.filteri (fun i _ -> i < 10) ds in
-      List.iter (fun d -> Format.fprintf ppf "    %a@." pp_divergence d) shown;
-      if List.length ds > 10 then
-        Format.fprintf ppf "    ... and %d more@." (List.length ds - 10)
+  pp_divergences ~limit:10 ppf r.divergences
 
 (* ------------------------------------------------------------------ *)
 (* Network rollout differential mode.                                  *)
@@ -1305,14 +1088,6 @@ let run_net ?(batch = 4) ?(samples = 2) ?(shards = 2) ?(capacity = 64) ?domains
 
 (* ------------------------------------------------------------------ *)
 (* Network chaos certification mode.                                   *)
-
-let rec rm_tree path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun f -> rm_tree (Filename.concat path f)) (Sys.readdir path);
-      (try Sys.rmdir path with Sys_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
 
 let outcome_name (o : Net_fleet.outcome) =
   match o with
@@ -1620,14 +1395,7 @@ let pp_chaos_report ppf r =
     "  %d retries, %d quarantines, %d node recoveries, %d probe points/lane@."
     retried quarantines recovered probes;
   Format.fprintf ppf "  fingerprint: %s@." (chaos_fingerprint r);
-  match r.chaos_divergences with
-  | [] -> Format.fprintf ppf "  divergences: none@."
-  | ds ->
-      Format.fprintf ppf "  divergences: %d@." (List.length ds);
-      let shown = List.filteri (fun i _ -> i < 10) ds in
-      List.iter (fun d -> Format.fprintf ppf "    %a@." pp_divergence d) shown;
-      if List.length ds > 10 then
-        Format.fprintf ppf "    ... and %d more@." (List.length ds - 10)
+  pp_divergences ~limit:10 ppf r.chaos_divergences
 
 let pp_net_report ppf r =
   Format.fprintf ppf
@@ -1639,11 +1407,4 @@ let pp_net_report ppf r =
         "  %-9s %d rounds, %4d applied, %d failed, %d probe points@."
         c.net_scheduler c.net_rounds c.net_applied c.net_failed c.net_probes)
     r.net_columns;
-  match r.net_divergences with
-  | [] -> Format.fprintf ppf "  divergences: none@."
-  | ds ->
-      Format.fprintf ppf "  divergences: %d@." (List.length ds);
-      let shown = List.filteri (fun i _ -> i < 10) ds in
-      List.iter (fun d -> Format.fprintf ppf "    %a@." pp_divergence d) shown;
-      if List.length ds > 10 then
-        Format.fprintf ppf "    ... and %d more@." (List.length ds - 10)
+  pp_divergences ~limit:10 ppf r.net_divergences

@@ -111,206 +111,112 @@ val run : ?config:config -> Trace.t -> report
 
 val pp_report : Format.formatter -> report -> unit
 
-(** {1 Crash-recovery differential mode}
+(** {1 Service-level fault lanes}
 
-    The durability counterpart of {!run}: the same trace is driven, per
-    scheduler kind, through a single-shard {e journaled}
-    {!Fr_ctrl.Service}, flushed every [batch] events, and then killed
-    after [at] events via {!Fr_ctrl.Service.simulate_crash} — with
-    [mid_drain], in the worst spot, after the begin markers went durable
-    but before any commit.  {!Fr_ctrl.Service.recover} rebuilds a service
-    from the journal directory alone, and the oracle checks, for every
-    kind:
+    The durability and degradation counterparts of {!run}: per scheduler
+    kind, the trace is driven through a {!Fr_ctrl.Service}, flushed every
+    [batch] events, while one {!fault} is injected; the faulted service
+    is then held to a fault-free reference by its union store image
+    (every shard's installed table) and by cross-shard probe lookups.
+    The fault value picks the lane:
 
-    - the recovered installed state (store image and probe lookups)
-      equals a journal-free reference service driven over just the
-      {e committed} prefix;
-    - after one more flush (draining the requeued suffix), it equals the
-      reference over the {e whole} prefix — no accepted intent was lost;
-    - the recovered agent passes
-      {!Fr_switch.Agent.verify_consistent}, and recovery itself reports
-      no warnings. *)
+    - {b [Crash {at; mid_drain}]} — a single-shard {e journaled} service
+      is killed after [at] events via {!Fr_ctrl.Service.simulate_crash}
+      (with [mid_drain], after the begin markers went durable but before
+      any commit) and rebuilt by {!Fr_ctrl.Service.recover} from the
+      journal alone.  The recovered state must equal a journal-free
+      reference over the {e committed} prefix; after one more flush
+      (draining the requeued suffix) it must equal the reference over the
+      {e whole} prefix; the recovered agent must pass
+      {!Fr_switch.Agent.verify_consistent}, and recovery must report no
+      warnings.
+    - {b [Slow {shards; shard; ms}]} — a failover-enabled service with a
+      persistent latency fault on [shard] (every op succeeds, [ms] late).
+      The slow-call breaker quarantines it and new ids divert to healthy
+      siblings.  No submit may be shed, no op may fail, and the fault must
+      engage ([diverted > 0], otherwise the run is reported vacuous).
+    - {b [Stuck {shards; shard; frac}]} — a failover-enabled service with
+      a seeded stuck-at-write bank covering [frac] of [shard]'s rows.  The
+      firmware discovers the holes through write failures, the retry
+      budget absorbs the discovery, the schedulers step over dead rows and
+      only the overflow diverts.  At every flush boundary the hardware
+      lookup must equal the semantic scan, and no submit may be shed.  A
+      lane that never wrote into the bank ([dead_max = 0]) is listed in
+      {!service_report.vacuous}.
 
-type crash_column = {
-  crash_scheduler : string;
-  committed : int;  (** events covered by completed flushes *)
-  suffix : int;  (** events submitted but uncommitted at the crash *)
-  replayed_drains : int;
-  requeued : int;
-  recovered_rules : int;
-}
+    [Slow] and [Stuck] then heal the fault and keep flushing until the run
+    converges (no diverted ids, no pending work, no dead rows, every
+    breaker closed), and hold the result to a never-faulted twin of the
+    same shape. *)
 
-type crash_report = {
-  crash_trace : Trace.t;
-  crash_at : int;  (** clamped to the trace length *)
-  mid_drain : bool;
-  crash_columns : crash_column list;
-  crash_divergences : divergence list;
-  crash_wall_ms : float;
-}
+type fault = Bundle.fault =
+  | Crash of { at : int; mid_drain : bool }
+  | Slow of { shards : int; shard : int; ms : float }
+  | Stuck of { shards : int; shard : int; frac : float }
 
-val crash_clean : crash_report -> bool
-
-val run_crash :
-  ?probes:int ->
-  ?batch:int ->
-  ?mid_drain:bool ->
-  ?at:int ->
-  ?domains:int ->
-  ?capture:string ->
-  Trace.t ->
-  crash_report
-(** Defaults: 8 probes, flush every 4 events, clean crash between
-    flushes, [at] = the whole trace.  [domains] is handed to every
-    service the oracle builds (reference, journaled run, recovery) — with
-    [domains > 1] the oracle doubles as the proof that the parallel drain
-    path is observationally equivalent to the sequential one.  Journals live in (and are cleaned
-    from) a fresh temp directory per scheduler — unless [capture] names a
-    directory, in which case each diverging kind leaves a {!Bundle}
-    (trace + parameters + journal copy) at [capture/crash-<kind>]
-    {e before} the temp journal is deleted, replayable offline via
-    [conform --replay].
-    @raise Invalid_argument if [batch <= 0]. *)
-
-val pp_crash_report : Format.formatter -> crash_report -> unit
-
-(** {1 Failover differential mode}
-
-    The graceful-degradation counterpart of {!run_crash}: per scheduler
-    kind, the trace is driven through a multi-shard failover-enabled
-    {!Fr_ctrl.Service} with a {e persistent latency fault} on one shard
-    (every hardware op succeeds, [slow_ms] late), flushed every [batch]
-    events.  The slow-call breaker quarantines the sick shard, failover
-    routing diverts new ids to healthy siblings, and after the stream
-    ends the oracle heals the fault and keeps flushing until the overlay
-    drains home.  It then checks, against a never-faulted twin of the
-    same shape:
-
-    - no submit was shed and no op failed (latency must degrade service,
-      not correctness);
-    - the fault actually engaged ([diverted > 0] — otherwise the run is
-      vacuous and reported as such);
-    - the overlay converges back to 0 diverted ids with every breaker
-      closed;
-    - the union of all shards' installed tables, and cross-shard probe
-      lookups, equal the twin's — lookup equivalence under failover. *)
-
-type failover_column = {
-  failover_scheduler : string;
-  fo_applied : int;
-  fo_failed : int;
-  fo_shed : int;
-  fo_diverted : int;  (** ids routed away from the sick home *)
-  fo_rebalanced : int;  (** ids drained back home after the heal *)
-  heal_flushes : int;  (** flushes from heal to convergence *)
-}
-
-type failover_report = {
-  failover_trace : Trace.t;
-  fo_shards : int;
-  fault_shard : int;
-  fo_slow_ms : float;
-  failover_columns : failover_column list;
-  failover_divergences : divergence list;
-  failover_wall_ms : float;
-}
-
-val failover_clean : failover_report -> bool
-
-val run_failover :
-  ?probes:int ->
-  ?batch:int ->
-  ?shards:int ->
-  ?fault_shard:int ->
-  ?slow_ms:float ->
-  ?domains:int ->
-  ?capture:string ->
-  Trace.t ->
-  failover_report
-(** Defaults: 8 probes, flush every 4 events, 3 shards, the fault on
-    shard 0, 8 ms/op — far above the supervisor's 2 ms/op slow-call
-    threshold, so the sick shard always trips and healthy ones never do.
-    [domains] drives both the faulted service and its twin, so the whole
-    quarantine/divert/heal/rebalance cycle is exercised under the
-    parallel drain path.
-    With [capture], diverging kinds leave a bundle at
-    [capture/failover-<kind>].
-    @raise Invalid_argument if [batch <= 0], [shards < 2], [fault_shard]
-    is out of range, or [slow_ms <= 0]. *)
-
-val pp_failover_report : Format.formatter -> failover_report -> unit
-
-(** {1 Degraded-hardware differential mode}
-
-    The partial-degradation counterpart of {!run_failover}: per scheduler
-    kind, the trace is driven through a multi-shard failover-enabled
-    {!Fr_ctrl.Service} with a {e seeded stuck bank} — [dead_frac] of one
-    shard's rows reject every write — flushed every [batch] events.  The
-    firmware discovers the holes through write failures (each condemns
-    its row in the {!Fr_tcam.Deadmap}), the supervisor's retry budget
-    absorbs the discovery so the breaker never opens, the schedulers
-    step over the dead rows, and the service diverts only the overflow
-    once the shard's effective capacity is exhausted.  Checks:
-
-    - at every flush boundary the hardware lookup equals the semantic
-      scan (dependency order survives hole-stepping);
-    - no submit is shed — a 10%-dead shard still serves;
-    - after the heal, the probe drill revives every row and the run
-      converges (no diverted ids, no pending work, no dead rows, all
-      breakers closed);
-    - the final union table and post-heal probe lookups equal a
-      never-faulted twin's. *)
-
-type degraded_column = {
-  degraded_scheduler : string;
-  dg_applied : int;
-  dg_failed : int;
-      (** transient per-drain failures — the discovery cost, not a gate *)
-  dg_shed : int;
-  dg_diverted : int;
-  dg_degraded_diverted : int;
+type service_lane = {
+  sched : string;  (** scheduler kind name *)
+  committed : int;  (** crash: events covered by completed flushes *)
+  suffix : int;  (** crash: events submitted but uncommitted at the crash *)
+  replayed_drains : int;  (** crash *)
+  requeued : int;  (** crash *)
+  recovered_rules : int;  (** crash: rules in the recovered service *)
+  applied_ops : int;  (** slow/stuck: shard telemetry of the faulted run *)
+  failed_ops : int;
+      (** slow/stuck; under a stuck bank these are the transient failures
+          that discover the holes — the discovery cost, not a gate *)
+  shed : int;
+  diverted : int;  (** ids routed away from their home shard *)
+  degraded_diverted : int;
       (** diverts caused by shrunken capacity, not a quarantine *)
-  dg_dead_max : int;
-      (** most rows simultaneously condemned; [0] means the workload never
-          wrote into the stuck bank — certification entry points assert
-          [> 0] on traces chosen to guarantee contact *)
-  dg_recovered : int;  (** rows revived by the probe drill *)
-  dg_heal_flushes : int;
+  rebalanced : int;  (** ids drained back home after the heal *)
+  dead_max : int;  (** stuck: most rows simultaneously condemned *)
+  rows_recovered : int;  (** stuck: rows revived by the probe drill *)
+  heal_flushes : int;  (** slow/stuck: flushes from heal to convergence *)
+}
+(** One scheduler's lane.  Counters a fault does not exercise stay [0]. *)
+
+type service_report = {
+  fault : fault;  (** a crash point is clamped to the trace length *)
+  batch : int;
+  source : Trace.t;
+  seeded_dead : int;  (** rows in the stuck bank; [0] for other faults *)
+  lanes : service_lane list;  (** per scheduler, trace order *)
+  vacuous : string list;
+      (** schedulers whose stuck-bank lane never wrote into the bank — a
+          vacuous certification that is reported, not a divergence *)
+  findings : divergence list;  (** [event] is always [-1] *)
+  elapsed_ms : float;
 }
 
-type degraded_report = {
-  degraded_trace : Trace.t;
-  dg_shards : int;
-  dg_fault_shard : int;
-  dg_dead_frac : float;
-  dg_seeded_dead : int;  (** rows in the seeded stuck bank *)
-  degraded_columns : degraded_column list;
-  degraded_divergences : divergence list;
-  degraded_wall_ms : float;
-}
+val service_clean : ?strict:bool -> service_report -> bool
+(** No divergences — and, with [strict] (default [false]), no vacuous
+    lane. *)
 
-val degraded_clean : degraded_report -> bool
-
-val run_degraded :
+val run_service :
   ?probes:int ->
   ?batch:int ->
-  ?shards:int ->
-  ?fault_shard:int ->
-  ?dead_frac:float ->
   ?domains:int ->
   ?capture:string ->
+  fault ->
   Trace.t ->
-  degraded_report
-(** Defaults: 8 probes, flush every 4 events, 3 shards, the stuck bank on
-    shard 0 covering 10% of its rows.  [domains] drives both the faulted
-    service and its twin, so discovery, hole-stepping, overflow diverts
-    and the probe-drill heal all run under the parallel drain path too.
-    With [capture], diverging kinds leave a bundle at
-    [capture/degraded-<kind>].
-    @raise Invalid_argument if [batch <= 0], [shards < 2], [fault_shard]
-    is out of range, or [dead_frac] is outside (0, 1). *)
+  service_report
+(** Defaults: 8 probes, flush every 4 events.  [domains] is handed to
+    every service the oracle builds (reference, faulted run, twin,
+    recovery) — with [domains > 1] a clean run is the proof that the
+    parallel drain path is observationally equivalent to the sequential
+    one.  Crash journals live in (and are cleaned from) a fresh temp
+    directory per scheduler — unless [capture] names a directory, in
+    which case each diverging kind leaves a {!Bundle} (trace + fault +
+    parameters + journal copy) at [capture/<mode>-<kind>] {e before} the
+    temp journal is deleted, replayable offline via [conform --replay].
+    Deterministic: equal inputs yield equal reports up to [elapsed_ms].
+    @raise Invalid_argument if [batch <= 0]; for [Slow] and [Stuck], if
+    [shards < 2] or [shard] is out of range; if [ms <= 0]; or if [frac]
+    is outside (0, 1). *)
 
-val pp_degraded_report : Format.formatter -> degraded_report -> unit
+val pp_service_report : Format.formatter -> service_report -> unit
+(** The fault line, one line per lane, then the divergences. *)
 
 (** {1 Network rollout differential mode}
 

@@ -16,6 +16,9 @@ dune runtest
 echo "== dune build @conform (differential smoke run) =="
 dune build @conform
 
+echo "== dune build @conform-faults (crash, failover, degraded oracle drills) =="
+dune build @conform-faults
+
 echo "== dune build @cache (cache-tier oracle smoke run) =="
 dune build @cache
 
@@ -53,9 +56,6 @@ status=0
 "$CLI" ctrl --journal "$J" --recover >/dev/null
 rm -rf "$J"
 
-echo "== failover conformance (every scheduler, divergences fail the gate) =="
-"$CLI" conform -k acl4 -n 60 -e 150 --failover 0 --shards 3 >/dev/null
-
 echo "== cache oracle under parallel drains (five schedulers, domains=4) =="
 out=$("$CLI" cache --oracle -k fw5 -n 250 --flows 15000 --skew 1.1 \
   -a 1200 --slots 40 -s 2 -b 32 --domains 4)
@@ -81,16 +81,6 @@ out=$("$CLI" ctrl -k acl4 -s 3 -n 300 -c 200 -u 1200 -b 32 \
 echo "$out" | grep -q 'degraded:' || { echo "degraded drill: no summary line"; exit 1; }
 echo "$out" | grep -Eq 'dead discovered, degraded-diverted [0-9]+, shed 0' || { echo "degraded drill: submits were shed"; exit 1; }
 echo "$out" | grep -Eq '[1-9][0-9]* dead discovered' || { echo "degraded drill: stuck bank never discovered"; exit 1; }
-
-echo "== degraded conformance (every scheduler, domains 1 and 4, strict) =="
-"$CLI" conform -k acl4 -n 90 --pool 150 -c 60 -e 300 --seed 31 \
-  --degraded 0.10 --strict >/dev/null
-"$CLI" conform -k acl4 -n 90 --pool 150 -c 60 -e 300 --seed 31 \
-  --degraded 0.10 --strict --domains 4 >/dev/null
-
-echo "== degraded relocation regression (seed 254, 13% dead: no rule lost) =="
-"$CLI" conform -k acl4 -n 20 --pool 40 -c 160 -e 40 --seed 254 \
-  --degraded 0.13 --probes 4 --strict >/dev/null
 
 echo "== net chaos certification (random switch faults, domains 1 = 4 fingerprint) =="
 C1=$(mktemp); C4=$(mktemp)

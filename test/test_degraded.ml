@@ -9,44 +9,47 @@ open Fastrule
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* The default degraded lane: a 10% stuck bank on shard 0 of 3. *)
+let stuck = Oracle.Stuck { shards = 3; shard = 0; frac = 0.10 }
+
 let test_degraded_oracle_clean () =
   let trace =
     Trace.generate ~kind:Dataset.ACL4 ~seed:31 ~initial:30 ~pool:60
       ~capacity:240 ~events:80 ()
   in
-  let r = Oracle.run_degraded ~probes:6 ~batch:4 ~shards:3 ~fault_shard:0 trace in
-  if not (Oracle.degraded_clean r) then
-    Alcotest.failf "degraded oracle diverged:@.%a" Oracle.pp_degraded_report r;
-  check "stuck bank is non-empty" true (r.Oracle.dg_seeded_dead > 0);
+  let r = Oracle.run_service ~probes:6 ~batch:4 stuck trace in
+  if not (Oracle.service_clean r) then
+    Alcotest.failf "degraded oracle diverged:@.%a" Oracle.pp_service_report r;
+  check "stuck bank is non-empty" true (r.Oracle.seeded_dead > 0);
   List.iter
     (fun c ->
-      let name = c.Oracle.degraded_scheduler in
-      check (name ^ ": discovery condemned rows") true (c.Oracle.dg_dead_max > 0);
-      check_int (name ^ ": nothing shed") 0 c.Oracle.dg_shed;
+      let name = c.Oracle.sched in
+      check (name ^ ": discovery condemned rows") true (c.Oracle.dead_max > 0);
+      check_int (name ^ ": nothing shed") 0 c.Oracle.shed;
       check (name ^ ": the heal revived the bank") true
-        (c.Oracle.dg_recovered > 0);
+        (c.Oracle.rows_recovered > 0);
       check (name ^ ": converged in bounded flushes") true
-        (c.Oracle.dg_heal_flushes > 0))
-    r.Oracle.degraded_columns
+        (c.Oracle.heal_flushes > 0))
+    r.Oracle.lanes
 
 let test_degraded_validation () =
   let trace =
     Trace.generate ~kind:Dataset.ACL4 ~seed:33 ~initial:10 ~pool:20
       ~capacity:120 ~events:10 ()
   in
-  let rejects f =
-    match f () with exception Invalid_argument _ -> true | _ -> false
+  let rejects ?batch fault =
+    match Oracle.run_service ?batch fault trace with
+    | exception Invalid_argument _ -> true
+    | _ -> false
   in
-  check "batch must be positive" true
-    (rejects (fun () -> Oracle.run_degraded ~batch:0 trace));
+  let stuck_on ~shards ~shard frac = Oracle.Stuck { shards; shard; frac } in
+  check "batch must be positive" true (rejects ~batch:0 stuck);
   check "needs a shard to divert to" true
-    (rejects (fun () -> Oracle.run_degraded ~shards:1 trace));
+    (rejects (stuck_on ~shards:1 ~shard:0 0.10));
   check "fault shard must exist" true
-    (rejects (fun () -> Oracle.run_degraded ~shards:3 ~fault_shard:3 trace));
-  check "dead_frac below 1" true
-    (rejects (fun () -> Oracle.run_degraded ~dead_frac:1.0 trace));
-  check "dead_frac above 0" true
-    (rejects (fun () -> Oracle.run_degraded ~dead_frac:0.0 trace))
+    (rejects (stuck_on ~shards:3 ~shard:3 0.10));
+  check "dead_frac below 1" true (rejects (stuck_on ~shards:3 ~shard:0 1.0));
+  check "dead_frac above 0" true (rejects (stuck_on ~shards:3 ~shard:0 0.0))
 
 (* The drill must be deterministic across drain parallelism: the probe
    epilogue runs after the join barrier, so one domain and four must
@@ -59,18 +62,18 @@ let test_degraded_domains_agree () =
   let fingerprint r =
     List.map
       (fun c ->
-        ( c.Oracle.degraded_scheduler,
-          c.Oracle.dg_applied,
-          c.Oracle.dg_shed,
-          c.Oracle.dg_dead_max,
-          c.Oracle.dg_recovered,
-          c.Oracle.dg_heal_flushes ))
-      r.Oracle.degraded_columns
+        ( c.Oracle.sched,
+          c.Oracle.applied_ops,
+          c.Oracle.shed,
+          c.Oracle.dead_max,
+          c.Oracle.rows_recovered,
+          c.Oracle.heal_flushes ))
+      r.Oracle.lanes
   in
-  let r1 = Oracle.run_degraded ~probes:4 ~domains:1 trace in
-  let r4 = Oracle.run_degraded ~probes:4 ~domains:4 trace in
-  check "sequential run clean" true (Oracle.degraded_clean r1);
-  check "parallel run clean" true (Oracle.degraded_clean r4);
+  let r1 = Oracle.run_service ~probes:4 ~domains:1 stuck trace in
+  let r4 = Oracle.run_service ~probes:4 ~domains:4 stuck trace in
+  check "sequential run clean" true (Oracle.service_clean r1);
+  check "parallel run clean" true (Oracle.service_clean r4);
   check "columns agree across domain counts" true
     (fingerprint r1 = fingerprint r4)
 
@@ -83,9 +86,13 @@ let test_relocation_keeps_rule () =
     Trace.generate ~kind:Dataset.ACL4 ~seed:254 ~initial:20 ~pool:40
       ~capacity:160 ~events:40 ()
   in
-  let r = Oracle.run_degraded ~probes:4 ~dead_frac:0.13 trace in
-  if not (Oracle.degraded_clean r) then
-    Alcotest.failf "degraded oracle diverged:@.%a" Oracle.pp_degraded_report r
+  let r =
+    Oracle.run_service ~probes:4
+      (Oracle.Stuck { shards = 3; shard = 0; frac = 0.13 })
+      trace
+  in
+  if not (Oracle.service_clean r) then
+    Alcotest.failf "degraded oracle diverged:@.%a" Oracle.pp_service_report r
 
 (* Random seeds and dead fractions: the certification is not tuned to one
    lucky bank. *)
@@ -101,10 +108,12 @@ let prop_degraded_random_banks =
           ~capacity:160 ~events:40 ()
       in
       let r =
-        Oracle.run_degraded ~probes:4 ~dead_frac:(float_of_int pct /. 100.0)
+        Oracle.run_service ~probes:4
+          (Oracle.Stuck
+             { shards = 3; shard = 0; frac = float_of_int pct /. 100.0 })
           trace
       in
-      Oracle.degraded_clean r)
+      Oracle.service_clean r)
 
 let suite =
   [

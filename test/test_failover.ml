@@ -371,13 +371,9 @@ let test_bundle_roundtrip () =
       Journal.close j;
       let info =
         {
-          Bundle.mode = "crash";
-          at = 12;
-          mid_drain = true;
+          Bundle.fault = Bundle.Crash { at = 12; mid_drain = true };
           batch = 4;
-          shards = 1;
-          fault_shard = 0;
-          slow_ms = 0.0;
+          probes = 8;
         }
       in
       let bdir =
@@ -402,6 +398,82 @@ let test_bundle_roundtrip () =
           check "captured WAL readable" true
             (Result.is_ok (Journal.read_recovery ~dir:jd ~shard:0)))
 
+(* A degraded bundle replays its own stuck bank: the dead fraction and the
+   probe count ride in bundle.meta, so a replay equals the captured run
+   rather than a default 10% bank probed 8 times. *)
+let test_bundle_replays_degraded () =
+  let root = Journal.fresh_dir ~prefix:"fr-test-bundle" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf root)
+    (fun () ->
+      let trace =
+        Trace.generate ~kind:Dataset.ACL4 ~seed:254 ~initial:20 ~pool:40
+          ~capacity:160 ~events:40 ()
+      in
+      let fault = Oracle.Stuck { shards = 3; shard = 0; frac = 0.13 } in
+      let info = { Bundle.fault; batch = 4; probes = 4 } in
+      let bdir =
+        Bundle.write ~dir:(Filename.concat root "b") info ~trace ~journal:None
+      in
+      match Bundle.load bdir with
+      | Error e -> Alcotest.failf "load: %s" e
+      | Ok (info', trace') ->
+          check "info round-trips" true (info' = info);
+          let verdict (r : Oracle.service_report) =
+            ( r.Oracle.fault,
+              r.Oracle.seeded_dead,
+              r.Oracle.lanes,
+              r.Oracle.vacuous,
+              r.Oracle.findings )
+          in
+          let direct = Oracle.run_service ~probes:4 ~batch:4 fault trace in
+          let replayed =
+            Oracle.run_service ~probes:info'.Bundle.probes
+              ~batch:info'.Bundle.batch info'.Bundle.fault trace'
+          in
+          check "replay equals the direct run" true
+            (verdict replayed = verdict direct))
+
+(* bundle.meta is input: keys older writers never recorded take their
+   old defaults, and an unknown mode is an error, never a crash replay. *)
+let test_bundle_meta_parsing () =
+  let root = Journal.fresh_dir ~prefix:"fr-test-bundle" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf root)
+    (fun () ->
+      let trace =
+        Trace.generate ~kind:Dataset.ACL4 ~seed:5 ~initial:10 ~pool:20
+          ~capacity:80 ~events:15 ()
+      in
+      let bundle name meta =
+        let dir = Filename.concat root name in
+        Journal.ensure_dir dir;
+        Trace.save trace (Bundle.trace_file dir);
+        Out_channel.with_open_text (Filename.concat dir "bundle.meta")
+          (fun oc -> Out_channel.output_string oc meta);
+        Bundle.load dir
+      in
+      (match
+         bundle "old"
+           "fastrule-bundle 1\nmode degraded\nat 15\nmid_drain false\n\
+            batch 4\nshards 3\nfault_shard 1\nslow_ms 0\n"
+       with
+      | Error e -> Alcotest.failf "old degraded bundle: %s" e
+      | Ok (info, _) ->
+          check "old bundle keeps today's defaults" true
+            (info
+            = {
+                Bundle.fault =
+                  Bundle.Stuck { shards = 3; shard = 1; frac = 0.10 };
+                batch = 4;
+                probes = 8;
+              }));
+      match bundle "bogus" "fastrule-bundle 1\nmode bogus\nbatch 4\n" with
+      | Ok _ -> Alcotest.fail "unknown mode accepted"
+      | Error e ->
+          Alcotest.(check string)
+            "error names the mode" "bundle: unknown mode \"bogus\"" e)
+
 (* --- failover conformance oracle ------------------------------------------ *)
 
 let test_failover_oracle_clean () =
@@ -409,15 +481,17 @@ let test_failover_oracle_clean () =
     Trace.generate ~kind:Dataset.ACL4 ~seed:21 ~initial:30 ~pool:60
       ~capacity:240 ~events:80 ()
   in
-  let r = Oracle.run_failover ~probes:6 ~batch:4 ~shards:3 ~fault_shard:0 trace in
-  if not (Oracle.failover_clean r) then
-    Alcotest.failf "failover oracle diverged:@.%a" Oracle.pp_failover_report r;
+  let r = Oracle.run_service ~probes:6 ~batch:4
+      (Oracle.Slow { shards = 3; shard = 0; ms = 8.0 })
+      trace in
+  if not (Oracle.service_clean r) then
+    Alcotest.failf "failover oracle diverged:@.%a" Oracle.pp_service_report r;
   List.iter
     (fun c ->
-      check "fault engaged for every scheduler" true (c.Oracle.fo_diverted > 0);
-      check_int "nothing shed" 0 c.Oracle.fo_shed;
-      check_int "nothing failed" 0 c.Oracle.fo_failed)
-    r.Oracle.failover_columns
+      check "fault engaged for every scheduler" true (c.Oracle.diverted > 0);
+      check_int "nothing shed" 0 c.Oracle.shed;
+      check_int "nothing failed" 0 c.Oracle.failed_ops)
+    r.Oracle.lanes
 
 (* --- the headline property ------------------------------------------------ *)
 
@@ -517,6 +591,10 @@ let suite =
         Alcotest.test_case "journal stat" `Quick test_journal_stat;
         Alcotest.test_case "divergence bundle round-trip" `Quick
           test_bundle_roundtrip;
+        Alcotest.test_case "degraded bundle replays its bank" `Quick
+          test_bundle_replays_degraded;
+        Alcotest.test_case "bundle meta defaults and unknown mode" `Quick
+          test_bundle_meta_parsing;
         Alcotest.test_case "failover oracle clean" `Quick
           test_failover_oracle_clean;
         QCheck_alcotest.to_alcotest prop_divert_heal_convergence;

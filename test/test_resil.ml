@@ -458,6 +458,53 @@ let test_journal_dir_refuses_reuse () =
            false
          with Invalid_argument _ -> true))
 
+(* --- the crash lane of the service oracle -------------------------------- *)
+
+(* Crash-at-op-k differential run, the CI drill's trace: a crash between
+   flushes and one mid-drain both recover to the committed prefix for all
+   five schedulers, identically under 1 and 4 drain domains. *)
+let test_crash_oracle () =
+  let trace =
+    Trace.generate ~kind:Dataset.ACL4 ~seed:42 ~initial:40 ~pool:80
+      ~capacity:160 ~events:120 ()
+  in
+  let lanes ~mid_drain domains =
+    let r =
+      Oracle.run_service ~domains (Oracle.Crash { at = 78; mid_drain }) trace
+    in
+    if not (Oracle.service_clean r) then
+      Alcotest.failf "crash oracle diverged (domains %d):@.%a" domains
+        Oracle.pp_service_report r;
+    check_int "five lanes" 5 (List.length r.Oracle.lanes);
+    List.iter
+      (fun c ->
+        check_int
+          (c.Oracle.sched ^ ": committed + suffix = at")
+          78
+          (c.Oracle.committed + c.Oracle.suffix))
+      r.Oracle.lanes;
+    r.Oracle.lanes
+  in
+  List.iter
+    (fun mid_drain ->
+      let l1 = lanes ~mid_drain 1 in
+      check "columns agree across domain counts" true (l1 = lanes ~mid_drain 4))
+    [ false; true ];
+  (* the mid-drain crash leaves real work at stake *)
+  List.iter
+    (fun c ->
+      check (c.Oracle.sched ^ ": uncommitted suffix") true
+        (c.Oracle.suffix > 0);
+      check (c.Oracle.sched ^ ": suffix requeued") true (c.Oracle.requeued > 0))
+    (lanes ~mid_drain:true 1);
+  check "batch must be positive" true
+    (match
+       Oracle.run_service ~batch:0 (Oracle.Crash { at = 78; mid_drain = false })
+         trace
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 let suite =
   [
     ( "resil",
@@ -479,5 +526,7 @@ let suite =
           test_journal_dir_refuses_reuse;
         QCheck_alcotest.to_alcotest prop_crash_recovery;
         QCheck_alcotest.to_alcotest prop_truncated_journal;
+        Alcotest.test_case "crash oracle clean, domains 1 = 4" `Quick
+          test_crash_oracle;
       ] );
   ]
