@@ -394,7 +394,7 @@ let micro () =
 let ctrl () =
   Report.print_header
     "Control plane: 4-shard churn through Fr_ctrl (coalescing queues + \
-     batched drains), FW5";
+     per-mod drains), FW5";
   let ops = 10_000 in
   let spec =
     {
@@ -424,26 +424,17 @@ let ctrl () =
     done;
     !acc
   in
-  (* Rows: the two routing policies, then the metric-refresh cadence sweep
-     (r=K refreshes the stale metrics every K batched inserts; r=1 keeps
-     per-op movement quality, deferring trades extra TCAM ops for less
-     firmware bookkeeping). *)
+  (* One row per routing policy; "/r1" keeps the BENCH_ctrl.json names. *)
   let scenarios =
-    [
-      ("hash/r1", Partition.Hash_id, 1);
-      ("prefix8/r1", Partition.Dst_prefix 8, 1);
-      ("hash/r4", Partition.Hash_id, 4);
-      ("hash/r16", Partition.Hash_id, 16);
-      ("hash/r-inf", Partition.Hash_id, max_int);
-    ]
+    [ ("hash/r1", Partition.Hash_id); ("prefix8/r1", Partition.Dst_prefix 8) ]
   in
   Format.printf "%-12s %8s %8s %8s %7s %9s %8s %9s %9s %9s@." "scenario"
     "submit" "coalesce" "applied" "failed" "tcam-ops" "fw(ms)" "hw(ms)"
     "p50(ms)" "p99(ms)";
   let results =
     List.map
-      (fun (name, policy, refresh) ->
-        let r = Churn.run ~policy ~refresh_every:refresh spec in
+      (fun (name, policy) ->
+        let r = Churn.run ~policy spec in
         let svc = r.Churn.service in
         let w = r.Churn.flush_wall_ms in
         Format.printf "%-12s %8d %8d %8d %7d %9d %8.2f %9.1f %9.3f %9.3f@."

@@ -231,16 +231,15 @@ let ctrl_json path service ~scenario ~seed =
   Format.printf "@.wrote per-shard telemetry to %s@." path
 
 let ctrl_cmd =
-  let run kind n seed shards capacity ops batch policy refresh_every json
-      journal do_recover faults crash_after crash_mid allow_failures failover
-      slow_call slow_factor chaos_n domains dead_frac =
+  let run kind n seed shards capacity ops batch policy json journal do_recover
+      faults crash_after crash_mid allow_failures failover slow_call slow_factor
+      chaos_n domains dead_frac =
     let bad fmt = Format.kasprintf (fun m -> Format.eprintf "fastrule_cli: %s@." m; exit 1) fmt in
     if shards < 1 then bad "--shards must be >= 1 (got %d)" shards;
     if capacity < 1 then bad "--capacity must be >= 1 (got %d)" capacity;
     if dead_frac < 0.0 || dead_frac >= 1.0 then
       bad "--dead-frac must be in [0, 1) (got %g)" dead_frac;
     if batch < 1 then bad "--batch must be >= 1 (got %d)" batch;
-    if refresh_every < 1 then bad "--refresh-every must be >= 1 (got %d)" refresh_every;
     if domains < 1 then bad "--domains must be >= 1 (got %d)" domains;
     (match crash_after with
     | Some k when k < 1 -> bad "--crash-after must be >= 1 (got %d)" k
@@ -289,6 +288,12 @@ let ctrl_cmd =
             (if r.Ctrl.warnings = [] && (allow_failures || flushed = []) then 0
              else 1)
     end;
+    (* A used journal directory is a usage error, caught before any work. *)
+    (match Option.map (fun dir -> Ctrl.journal_unused ~dir) journal with
+    | Some (Error e) ->
+        Format.eprintf "fastrule_cli: %s@." e;
+        exit 2
+    | Some (Ok ()) | None -> ());
     let resil =
       let base = Ctrl.default_resil in
       let base = { base with Ctrl.failover } in
@@ -384,7 +389,7 @@ let ctrl_cmd =
                 fs)
     in
     let r =
-      Churn.run ~policy ~refresh_every ~resil ?journal ~domains ?configure
+      Churn.run ~policy ~resil ?journal ~domains ?configure
         ~chaos ?stop_after_flushes:crash_after spec
     in
     Format.printf
@@ -483,14 +488,6 @@ let ctrl_cmd =
       & info [ "p"; "policy" ] ~docv:"POLICY"
           ~doc:"Routing policy: $(b,hash) or $(b,prefix:<k>) (top k \
                 destination-IP bits).")
-  in
-  let refresh_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "refresh-every" ] ~docv:"K"
-          ~doc:"Metric refresh cadence inside a drained batch; 1 keeps \
-                per-op movement quality, larger trades extra TCAM moves \
-                for less firmware bookkeeping.")
   in
   let json_arg =
     Arg.(
@@ -609,7 +606,7 @@ let ctrl_cmd =
              unless --allow-failures).")
     Term.(
       const run $ kind_arg $ n_arg $ seed_arg $ shards_arg $ capacity_arg
-      $ ops_arg $ batch_arg $ policy_arg $ refresh_arg $ json_arg
+      $ ops_arg $ batch_arg $ policy_arg $ json_arg
       $ journal_arg $ recover_arg $ fault_arg $ crash_after_arg $ crash_mid_arg
       $ allow_failures_arg $ failover_arg $ slow_call_arg $ slow_factor_arg
       $ chaos_arg $ domains_arg $ dead_frac_arg)

@@ -107,7 +107,6 @@ let recorder ~slot ~cur (a : Algo.t) =
         let r = a.Algo.schedule_delete ~rule_id in
         (match r with Ok ops -> slot.(!cur) <- ops | Error _ -> ());
         r);
-    insert_batch = None;
   }
 
 let fault_tolerant = function

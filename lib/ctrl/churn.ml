@@ -122,13 +122,13 @@ let apply_chaos_event service ~seed e =
       if Service.journaled service then
         ignore (Service.restart_shard service ~shard:e.shard)
 
-let run ?policy ?algo ?verify ?refresh_every ?resil ?journal ?domains
-    ?configure ?(chaos = []) ?stop_after_flushes spec =
+let run ?policy ?algo ?verify ?resil ?journal ?domains ?configure ?(chaos = [])
+    ?stop_after_flushes spec =
   (* One pool covers the preload and every insertion the mix can draw. *)
   let pool = Dataset.generate spec.kind ~seed:spec.seed ~n:(spec.initial + spec.ops) in
   let service =
-    Service.of_rules ?kind:algo ?verify ?refresh_every ?policy ?resil ?journal
-      ?domains ~shards:spec.shards ~capacity:spec.capacity
+    Service.of_rules ?kind:algo ?verify ?policy ?resil ?journal ?domains
+      ~shards:spec.shards ~capacity:spec.capacity
       (Array.sub pool 0 spec.initial)
   in
   Option.iter (fun f -> f service) configure;

@@ -5,9 +5,9 @@
     synthetic policy ({!Fr_workload.Dataset}) is partitioned across the
     shards, then [ops] flow-mods — a weighted mix of insertions of fresh
     rules, removals of live ones and in-place action rewrites — are
-    submitted and flushed every [batch] ops, so the coalescing queues and
-    the batched-insert path actually get bursts to chew on.  Everything is
-    seeded and deterministic. *)
+    submitted and flushed every [batch] ops, so the coalescing queues
+    actually get bursts to chew on.  Everything is seeded and
+    deterministic. *)
 
 type spec = {
   kind : Fr_workload.Dataset.kind;
@@ -70,7 +70,6 @@ val run :
   ?policy:Partition.policy ->
   ?algo:Fr_switch.Firmware.algo_kind ->
   ?verify:bool ->
-  ?refresh_every:int ->
   ?resil:Service.resil ->
   ?journal:string ->
   ?domains:int ->

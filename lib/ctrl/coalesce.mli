@@ -32,8 +32,8 @@
 
     The drain plan {!pending_ops} emits erases first (freeing TCAM slots
     for what follows), then in-place action rewrites, then insertions in
-    arrival order — the shape {!Fr_switch.Agent.apply_batch} turns into
-    one amortised batch. *)
+    arrival order; a drain hands each to {!Fr_switch.Agent.apply} in
+    that order. *)
 
 type t
 

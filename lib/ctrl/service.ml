@@ -119,25 +119,28 @@ let make_supervision resil ~shards =
   in
   (breakers, backoffs)
 
+let journal_unused ~dir =
+  if Sys.file_exists (Journal.meta_file ~dir) then
+    Error
+      (Printf.sprintf
+         "Service: journal directory %s already holds a journal (recover from \
+          it instead)"
+         dir)
+  else Ok ()
+
 (* A fresh journal directory: shape metadata once, then one compacted
    journal per shard anchored on a checkpoint of its starting table (so
    recovery always has a baseline).  Refuses a directory that already
    carries a journal — recover from it or point elsewhere. *)
-let make_journals ~dir ~kind ~policy ~verify ~refresh_every ~capacity
+let make_journals ~dir ~kind ~policy ~verify ~capacity
     (shards : Shard.t array) =
-  if Sys.file_exists (Journal.meta_file ~dir) then
-    invalid_arg
-      (Printf.sprintf
-         "Service: journal directory %s already holds a journal (recover from \
-          it instead)"
-         dir);
+  Result.iter_error invalid_arg (journal_unused ~dir);
   Journal.write_meta ~dir
     {
       Journal.shards = Array.length shards;
       capacity;
       policy = Partition.policy_to_string policy;
       kind = Firmware.algo_kind_name kind;
-      refresh_every;
       verify;
     };
   Array.map
@@ -149,11 +152,11 @@ let make_journals ~dir ~kind ~policy ~verify ~refresh_every ~capacity
     shards
 
 let create ?(kind = default_kind) ?latency ?(verify = false)
-    ?(refresh_every = 1) ?(policy = Partition.Hash_id)
-    ?(resil = default_resil) ?journal ?domains ~shards ~capacity () =
+    ?(policy = Partition.Hash_id) ?(resil = default_resil) ?journal ?domains
+    ~shards ~capacity () =
   let shard_arr =
     Array.init shards (fun id ->
-        Shard.create ~kind ?latency ~verify ~refresh_every ~capacity ~id ())
+        Shard.create ~kind ?latency ~verify ~capacity ~id ())
   in
   let breakers, backoffs = make_supervision resil ~shards in
   {
@@ -165,8 +168,7 @@ let create ?(kind = default_kind) ?latency ?(verify = false)
     journals =
       Option.map
         (fun dir ->
-          make_journals ~dir ~kind ~policy ~verify ~refresh_every ~capacity
-            shard_arr)
+          make_journals ~dir ~kind ~policy ~verify ~capacity shard_arr)
         journal;
     breakers;
     backoffs;
@@ -177,8 +179,8 @@ let create ?(kind = default_kind) ?latency ?(verify = false)
   }
 
 let of_rules ?(kind = default_kind) ?latency ?(verify = false)
-    ?(refresh_every = 1) ?(policy = Partition.Hash_id)
-    ?(resil = default_resil) ?journal ?domains ~shards ~capacity rules =
+    ?(policy = Partition.Hash_id) ?(resil = default_resil) ?journal ?domains
+    ~shards ~capacity rules =
   let partition = Partition.create ~shards policy in
   let slices = Array.make shards [] in
   Array.iter
@@ -188,7 +190,7 @@ let of_rules ?(kind = default_kind) ?latency ?(verify = false)
     rules;
   let shard_arr =
     Array.init shards (fun id ->
-        Shard.of_rules ~kind ?latency ~verify ~refresh_every ~capacity ~id
+        Shard.of_rules ~kind ?latency ~verify ~capacity ~id
           (Array.of_list (List.rev slices.(id))))
   in
   let breakers, backoffs = make_supervision resil ~shards in
@@ -202,8 +204,7 @@ let of_rules ?(kind = default_kind) ?latency ?(verify = false)
       journals =
         Option.map
           (fun dir ->
-            make_journals ~dir ~kind ~policy ~verify ~refresh_every ~capacity
-              shard_arr)
+            make_journals ~dir ~kind ~policy ~verify ~capacity shard_arr)
           journal;
       breakers;
       backoffs;
@@ -851,7 +852,6 @@ let recover ?latency ?(resil = default_resil) ?domains ~journal:dir () =
     let* sh =
       match
         Shard.of_rules ~kind ?latency ~verify:meta.Journal.verify
-          ~refresh_every:meta.Journal.refresh_every
           ~capacity:meta.Journal.capacity ~id:i rules
       with
       | sh -> Ok sh

@@ -7,8 +7,8 @@
     scheduler), routes every flow-mod to its shard through a
     deterministic {!Partition}, folds redundant ops in per-shard
     {!Coalesce} queues, and applies everything pending in one {!flush} —
-    per shard, one amortised batch through the firmware's batched-insert
-    path.
+    per shard, one drain that hands each planned flow-mod to
+    {!Fr_switch.Agent.apply}.
 
     Routing is sticky: an [Add] is placed by the partitioner and the
     service remembers the rule's shard (pending or installed), so
@@ -99,11 +99,14 @@ val default_domains : unit -> int
     uninvited — the CLI and bench default to
     {!Fr_exec.Pool.recommended} explicitly. *)
 
+val journal_unused : dir:string -> (unit, string) result
+(** [Ok ()] unless [dir] already holds a journal; the [Error] carries the
+    message {!create} and {!of_rules} raise for such a directory. *)
+
 val create :
   ?kind:Fr_switch.Firmware.algo_kind ->
   ?latency:Fr_tcam.Latency.t ->
   ?verify:bool ->
-  ?refresh_every:int ->
   ?policy:Partition.policy ->
   ?resil:resil ->
   ?journal:string ->
@@ -114,23 +117,21 @@ val create :
   t
 (** [shards] empty agents of [capacity] TCAM slots each.  Defaults:
     FastRule on the original layout, 0.6 ms/op, no shadow-table verify,
-    per-insert metric maintenance ([refresh_every = 1], see
-    {!Fr_switch.Agent.apply_batch}), {!Partition.Hash_id} routing,
-    {!default_resil} supervision, no journal, [domains] from
-    {!default_domains}.  [journal] names a directory (created if
-    missing) that receives the service's shape metadata plus one WAL per
-    shard.  [domains] is the number of executors a {!flush} may use to
-    drain shards concurrently; [1] is the exact legacy sequential path,
-    and any value produces bit-identical results (see {!flush}).
-    @raise Invalid_argument if [journal] already holds a journal —
-    {!recover} from it instead of silently overwriting history — or if
-    [domains < 1]. *)
+    {!Partition.Hash_id} routing, {!default_resil} supervision, no
+    journal, [domains] from {!default_domains}.  [journal] names a
+    directory (created if missing) that receives the service's shape
+    metadata plus one WAL per shard.  [domains] is the number of
+    executors a {!flush} may use to drain shards concurrently; [1] is the
+    exact legacy sequential path, and any value produces bit-identical
+    results (see {!flush}).
+    @raise Invalid_argument if [journal] already holds a journal (see
+    {!journal_unused}) — {!recover} from it instead of silently
+    overwriting history — or if [domains < 1]. *)
 
 val of_rules :
   ?kind:Fr_switch.Firmware.algo_kind ->
   ?latency:Fr_tcam.Latency.t ->
   ?verify:bool ->
-  ?refresh_every:int ->
   ?policy:Partition.policy ->
   ?resil:resil ->
   ?journal:string ->

@@ -9,7 +9,6 @@ type t = {
   mutable agent : Agent.t;
   queue : Coalesce.t;
   telemetry : Telemetry.t;
-  refresh_every : int;
   (* Construction parameters, kept so [reset] rebuilds an identical
      agent shape. *)
   kind : Fr_switch.Firmware.algo_kind option;
@@ -18,26 +17,24 @@ type t = {
   capacity : int;
 }
 
-let create ?kind ?latency ?verify ?(refresh_every = 1) ~capacity ~id () =
+let create ?kind ?latency ?verify ~capacity ~id () =
   {
     id;
     agent = Agent.create ?kind ?latency ?verify ~capacity ();
     queue = Coalesce.create ();
     telemetry = Telemetry.create ();
-    refresh_every;
     kind;
     latency;
     verify;
     capacity;
   }
 
-let of_rules ?kind ?latency ?verify ?(refresh_every = 1) ~capacity ~id rules =
+let of_rules ?kind ?latency ?verify ~capacity ~id rules =
   {
     id;
     agent = Agent.of_rules ?kind ?latency ?verify ~capacity rules;
     queue = Coalesce.create ();
     telemetry = Telemetry.create ();
-    refresh_every;
     kind;
     latency;
     verify;
@@ -133,17 +130,16 @@ let drain t =
   let hw0 = Agent.tcam_ms_total t.agent in
   let ops0 = Tcam.ops_issued (Agent.tcam t.agent) in
   let moves0 = Tcam.moves_issued (Agent.tcam t.agent) in
-  let results, wall_ms =
-    Measure.time_ms (fun () ->
-        Agent.apply_batch ~refresh_every:t.refresh_every t.agent plan)
-  in
   let applied = ref 0 and failed = ref (List.rev rejections) in
-  List.iter2
-    (fun fm result ->
-      match result with
-      | Ok () -> incr applied
-      | Error e -> failed := (fm, e) :: !failed)
-    plan results;
+  let (), wall_ms =
+    Measure.time_ms (fun () ->
+        List.iter
+          (fun fm ->
+            match Agent.apply t.agent fm with
+            | Ok () -> incr applied
+            | Error e -> failed := (fm, e) :: !failed)
+          plan)
+  in
   let result =
     {
       shard = t.id;

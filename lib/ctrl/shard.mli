@@ -4,8 +4,9 @@
     {!Fr_switch.Agent.t} (its slice of the rule space), buffers submitted
     flow-mods in a {!Coalesce} queue, and applies them in bulk on
     {!drain}.  A drain runs erases first, then in-place rewrites, then
-    the surviving insertions through {!Fr_switch.Agent.apply_batch} — so
-    a burst of churn costs one metric refresh, not one per op.
+    the surviving insertions, each through {!Fr_switch.Agent.apply} —
+    the scheduler refreshes its chain metrics after every update, as the
+    paper's FastRule does.
 
     Failures stay local twice over: a failed op leaves the agent's table
     unchanged (the agent's own guarantee) and the drain carries on with
@@ -19,22 +20,17 @@ val create :
   ?kind:Fr_switch.Firmware.algo_kind ->
   ?latency:Fr_tcam.Latency.t ->
   ?verify:bool ->
-  ?refresh_every:int ->
   capacity:int ->
   id:int ->
   unit ->
   t
 (** An empty shard.  [verify] turns on the agent's shadow-table check
-    ({!Fr_sched.Check}) for every drained sequence — drains then take the
-    per-op path, trading the amortised refresh for the safety net.
-    [refresh_every] (default 1) is the drain's metric-maintenance cadence
-    — see {!Fr_switch.Agent.apply_batch}. *)
+    ({!Fr_sched.Check}) for every drained sequence. *)
 
 val of_rules :
   ?kind:Fr_switch.Firmware.algo_kind ->
   ?latency:Fr_tcam.Latency.t ->
   ?verify:bool ->
-  ?refresh_every:int ->
   capacity:int ->
   id:int ->
   Fr_tern.Rule.t array ->
@@ -61,10 +57,10 @@ val queue_depth : t -> int
 
 val set_fault : t -> Fr_tcam.Fault.t option -> unit
 (** Install a fault plan on this shard's agent
-    ({!Fr_switch.Agent.set_fault}); drains then take the per-op path and
-    report each injected casualty in {!drain_result}[.failed] while the
-    sibling shards stay untouched — the isolation the conformance
-    fault-injection tests assert. *)
+    ({!Fr_switch.Agent.set_fault}); drains then report each injected
+    casualty in {!drain_result}[.failed] while the sibling shards stay
+    untouched — the isolation the conformance fault-injection tests
+    assert. *)
 
 val reset : t -> Fr_tern.Rule.t array -> unit
 (** A whole-shard restart fault: replace the agent with a fresh one

@@ -125,7 +125,6 @@ type meta = {
   capacity : int;
   policy : string;
   kind : string;
-  refresh_every : int;
   verify : bool;
 }
 
@@ -134,8 +133,8 @@ let write_meta ~dir m =
   let path = meta_file ~dir in
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  Printf.fprintf oc "%s\nshards %d\ncapacity %d\npolicy %s\nkind %s\nrefresh_every %d\nverify %b\n"
-    meta_magic m.shards m.capacity m.policy m.kind m.refresh_every m.verify;
+  Printf.fprintf oc "%s\nshards %d\ncapacity %d\npolicy %s\nkind %s\nverify %b\n"
+    meta_magic m.shards m.capacity m.policy m.kind m.verify;
   close_out oc;
   Sys.rename tmp path
 
@@ -168,24 +167,26 @@ let read_meta ~dir =
         | Some v -> Ok v
         | None -> Error (Printf.sprintf "journal meta: missing %s" k)
       in
-      let get_int k =
+      let get_positive k =
         let* v = get k in
         match int_of_string_opt v with
-        | Some i -> Ok i
+        | Some i when i >= 1 -> Ok i
+        | Some i -> Error (Printf.sprintf "journal meta: bad %s %d" k i)
         | None -> Error (Printf.sprintf "journal meta: bad %s %S" k v)
       in
-      let* shards = get_int "shards" in
-      let* capacity = get_int "capacity" in
+      (* Older metas also carry a [refresh_every] line, the removed
+         deferred-refresh knob; it is ignored like any other unknown key. *)
+      let* shards = get_positive "shards" in
+      let* capacity = get_positive "capacity" in
       let* policy = get "policy" in
       let* kind = get "kind" in
-      let* refresh_every = get_int "refresh_every" in
       let* verify_s = get "verify" in
       let* verify =
         match bool_of_string_opt verify_s with
         | Some b -> Ok b
         | None -> Error (Printf.sprintf "journal meta: bad verify %S" verify_s)
       in
-      Ok { shards; capacity; policy; kind; refresh_every; verify }
+      Ok { shards; capacity; policy; kind; verify }
   | m :: _ ->
       Error (Printf.sprintf "journal meta: bad magic %S (want %S)" m meta_magic)
   | [] -> Error "journal meta: empty file"

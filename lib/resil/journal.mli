@@ -59,7 +59,6 @@ type meta = {
   capacity : int;
   policy : string;  (** {!Fr_ctrl.Partition.policy_to_string} form *)
   kind : string;  (** {!Fr_switch.Firmware.algo_kind_name} form *)
-  refresh_every : int;
   verify : bool;
 }
 (** Service shape, persisted once at journal creation so that recovery
@@ -67,6 +66,9 @@ type meta = {
 
 val write_meta : dir:string -> meta -> unit
 val read_meta : dir:string -> (meta, string) result
+(** [Error] on a bad magic line, a missing key, or a [shards] or
+    [capacity] below 1.  Unknown keys are ignored — among them the
+    [refresh_every] line older metas carry. *)
 
 val ensure_dir : string -> unit
 (** Create [dir] (and missing parents) if needed. *)

@@ -6,11 +6,6 @@ type t = {
     rule_id:int -> deps:int list -> dependents:int list -> (Fr_tcam.Op.t list, string) result;
   schedule_delete : rule_id:int -> (Fr_tcam.Op.t list, string) result;
   after_apply : Fr_tcam.Op.t list -> unit;
-  insert_batch :
-    (refresh_every:int ->
-    (int * int list * int list) list ->
-    (Fr_tcam.Op.t list, string) result)
-    option;
 }
 
 let insert_window tcam ~deps ~dependents =

@@ -35,20 +35,6 @@ type t = {
           must already be present in the TCAM. *)
   schedule_delete : rule_id:int -> (Fr_tcam.Op.t list, string) result;
   after_apply : Fr_tcam.Op.t list -> unit;
-  insert_batch :
-    (refresh_every:int ->
-    (int * int list * int list) list ->
-    (Fr_tcam.Op.t list, string) result)
-    option;
-      (** Optional batched-insert fast path ({!Fastrule.insert_batch}):
-          every [(rule_id, deps, dependents)] request is scheduled {e and
-          applied to the TCAM} by the call itself, with metric maintenance
-          flushed every [refresh_every] requests — callers must {e not}
-          re-apply the returned ops and must not call [after_apply] for
-          them.  [deps] may name earlier requests of the same batch (they
-          are in the TCAM by the time the later request schedules).
-          Schedulers without a batch-aware back-end leave this [None] and
-          are driven one request at a time. *)
 }
 
 val insert_window :

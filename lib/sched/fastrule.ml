@@ -77,45 +77,6 @@ let after_apply st ops =
   st.pending_ids <- [];
   Store.refresh st.store ~addrs ~ids
 
-let insert_batch ?(refresh_every = max_int) st requests =
-  if refresh_every < 1 then invalid_arg "insert_batch: refresh_every < 1";
-  let all_ops = ref [] in
-  let dirty = ref [] in
-  let since_flush = ref 0 in
-  let flush () =
-    Store.refresh st.store ~addrs:!dirty ~ids:[];
-    dirty := [];
-    since_flush := 0
-  in
-  let rec run = function
-    | [] ->
-        flush ();
-        Ok (List.concat (List.rev !all_ops))
-    | (rule_id, deps, dependents) :: rest -> (
-        let attempt () = schedule_insert st ~rule_id ~deps ~dependents in
-        let result =
-          match attempt () with
-          | Ok _ as ok -> ok
-          | Error _ ->
-              (* Stale guidance may have walked the chain into a corner:
-                 refresh and retry once before declaring failure. *)
-              flush ();
-              attempt ()
-        in
-        match result with
-        | Error _ as e ->
-            flush ();
-            e
-        | Ok ops ->
-            Tcam.apply_sequence st.tcam ops;
-            dirty := List.rev_append (List.map Op.addr ops) !dirty;
-            all_ops := ops :: !all_ops;
-            incr since_flush;
-            if !since_flush >= refresh_every then flush ();
-            run rest)
-  in
-  run requests
-
 let algo st =
   {
     Algo.name = Printf.sprintf "fr-o/%s" (Store.backend_to_string (Store.backend st.store));
@@ -123,6 +84,4 @@ let algo st =
       (fun ~rule_id ~deps ~dependents -> schedule_insert st ~rule_id ~deps ~dependents);
     schedule_delete = (fun ~rule_id -> schedule_delete st ~rule_id);
     after_apply = (fun ops -> after_apply st ops);
-    insert_batch =
-      Some (fun ~refresh_every requests -> insert_batch ~refresh_every st requests);
   }

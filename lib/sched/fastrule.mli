@@ -34,33 +34,6 @@ val algo : state -> Algo.t
 val store : state -> Store.t
 (** The live metric store (for tests and the separated-layout composition). *)
 
-val insert_batch :
-  ?refresh_every:int ->
-  state ->
-  (int * int list * int list) list ->
-  (Fr_tcam.Op.t list, string) result
-(** [insert_batch st requests] — batched insertion: each
-    [(rule_id, deps, dependents)] is scheduled and its sequence applied to
-    the TCAM {e immediately}, but metric maintenance is deferred to one
-    {!Store.refresh} over the whole batch's dirty set (amortising the
-    per-update O(c (log n)^2) maintenance the paper accounts for).  The
-    graph must already contain every request's node and edges.
-
-    Stale metrics between batch members can only degrade sequence quality,
-    never correctness — candidate windows and free-slot checks read the
-    live TCAM; if a mid-batch request still fails, the store is refreshed
-    and that request retried before giving up.  The degradation is real,
-    though: a slot consumed by an earlier batch member still advertises
-    metric 0 until the next refresh, so later members walk into it and
-    displace — measured on FW5 churn, each fully-deferred batch member
-    costs ≈ 0.4 extra movements {e per member already in the batch}.
-    [refresh_every] bounds that: the dirty set is flushed after every
-    [k] requests ([1] = per-request maintenance, the quality-preserving
-    cadence; default: only at the end, the legacy behaviour).  Returns the
-    concatenation of the applied sequences (already applied; do {e not}
-    re-apply).  On [Error], requests before the failing one remain applied
-    and the store is left truthful. *)
-
 val schedule_chain :
   state -> rule_id:int -> lo:int -> hi:int -> (Fr_tcam.Op.t list, string) result
 (** The bare greedy over the explicit inclusive candidate range

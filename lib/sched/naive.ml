@@ -211,5 +211,4 @@ let algo st =
       (fun ~rule_id ~deps ~dependents -> schedule_insert st ~rule_id ~deps ~dependents);
     schedule_delete = (fun ~rule_id -> schedule_delete st ~rule_id);
     after_apply = (fun ops -> after_apply st ops);
-    insert_batch = None;
   }

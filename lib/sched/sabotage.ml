@@ -26,5 +26,4 @@ let wrap mode (a : Algo.t) =
     schedule_delete =
       (fun ~rule_id -> corrupt (a.Algo.schedule_delete ~rule_id));
     after_apply = a.Algo.after_apply;
-    insert_batch = None;
   }

@@ -24,6 +24,5 @@ val mode_of_string : string -> mode option
 
 val wrap : mode -> Algo.t -> Algo.t
 (** The same scheduler with every emitted multi-op sequence mangled
-    (insertions and deletions both); [after_apply] and the batch path are
-    delegated untouched except that batching is disabled — the saboteur
-    must see each sequence before it reaches the TCAM. *)
+    (insertions and deletions both); [after_apply] is delegated
+    untouched. *)

@@ -333,136 +333,6 @@ let rec apply t fm =
                 finish ();
                 Ok ()))
 
-(* A run of consecutive [Add]s through the scheduler's batched-insert
-   path.  Dependencies are compiled one rule at a time against the live
-   table {e plus} the batch mates already compiled, and every node/edge is
-   in the graph before scheduling starts, so later requests may
-   legitimately constrain against earlier ones (the batch applies its
-   sequences in request order).  Store/index insertions are tentative and
-   rolled back for the requests that fail. *)
-let add_run t ~refresh_every (adds : (int * Rule.t) list)
-    (results : (unit, string) result array) batch =
-  let requests =
-    List.filter_map
-      (fun (pos, (rule : Rule.t)) ->
-        if Hashtbl.mem t.store rule.Rule.id then begin
-          results.(pos) <-
-            Error (Printf.sprintf "rule %d already installed" rule.Rule.id);
-          None
-        end
-        else begin
-          let (deps, dependents), dt_compile =
-            Measure.time_ms (fun () ->
-                Build.dependencies_of t.graph
-                  ~existing:(Overlap_index.overlapping t.index rule)
-                  rule)
-          in
-          t.fw_ms <- t.fw_ms +. dt_compile;
-          Graph.add_node t.graph rule.Rule.id;
-          List.iter (fun v -> Graph.add_edge t.graph rule.Rule.id v) deps;
-          List.iter (fun u -> Graph.add_edge t.graph u rule.Rule.id) dependents;
-          Hashtbl.replace t.store rule.Rule.id rule;
-          Overlap_index.add t.index rule;
-          Tcam.bind_rule t.tcam rule;
-          Some (pos, rule, deps, dependents)
-        end)
-      adds
-  in
-  let rollback (rule : Rule.t) =
-    Graph.remove_node t.graph rule.Rule.id;
-    Overlap_index.remove t.index rule;
-    Hashtbl.remove t.store rule.Rule.id;
-    if not (Tcam.mem t.tcam rule.Rule.id) then
-      Tcam.unbind_rule t.tcam ~id:rule.Rule.id
-  in
-  let rec schedule = function
-    | [] -> ()
-    | requests -> (
-        let tuples =
-          List.map (fun (_, (r : Rule.t), d, ds) -> (r.Rule.id, d, ds)) requests
-        in
-        let ops_before = Tcam.ops_issued t.tcam in
-        let result, dt = Measure.time_ms (fun () -> batch ~refresh_every tuples) in
-        t.fw_ms <- t.fw_ms +. dt;
-        (* The batch applies its sequences itself; the modelled hardware
-           cost is the op-count delta (insertion sequences are writes). *)
-        t.tcam_ms <-
-          t.tcam_ms
-          +. Latency.ops_ms t.latency
-               ~writes:(Tcam.ops_issued t.tcam - ops_before)
-               ~erases:0;
-        match result with
-        | Ok _ ->
-            List.iter
-              (fun (pos, _, _, _) ->
-                results.(pos) <- Ok ();
-                t.mods <- t.mods + 1)
-              requests
-        | Error e -> (
-            (* Requests before the first un-installed rule are applied and
-               stay; the failed one is rolled back and excised from its
-               mates' constraint lists before the rest is retried. *)
-            match
-              List.partition
-                (fun (_, (r : Rule.t), _, _) ->
-                  Tcam.addr_of t.tcam r.Rule.id <> None)
-                requests
-            with
-            | applied, [] ->
-                List.iter
-                  (fun (pos, _, _, _) ->
-                    results.(pos) <- Ok ();
-                    t.mods <- t.mods + 1)
-                  applied
-            | applied, (fail_pos, failed, _, _) :: rest ->
-                List.iter
-                  (fun (pos, _, _, _) ->
-                    results.(pos) <- Ok ();
-                    t.mods <- t.mods + 1)
-                  applied;
-                results.(fail_pos) <- Error e;
-                rollback failed;
-                let fid = failed.Rule.id in
-                schedule
-                  (List.map
-                     (fun (pos, r, deps, dependents) ->
-                       ( pos,
-                         r,
-                         List.filter (fun v -> v <> fid) deps,
-                         List.filter (fun u -> u <> fid) dependents ))
-                     rest)))
-  in
-  schedule requests
-
-let apply_batch ?(refresh_every = 1) t mods =
-  if refresh_every < 1 then
-    invalid_arg "Agent.apply_batch: refresh_every must be >= 1";
-  match t.algo.Algo.insert_batch with
-  | Some batch when (not t.verify) && t.fault = None ->
-      let mods = Array.of_list mods in
-      let results = Array.make (Array.length mods) (Ok ()) in
-      let n = Array.length mods in
-      let i = ref 0 in
-      while !i < n do
-        match mods.(!i) with
-        | Add _ ->
-            let run = ref [] in
-            while
-              !i < n && (match mods.(!i) with Add _ -> true | _ -> false)
-            do
-              (match mods.(!i) with
-              | Add rule -> run := (!i, rule) :: !run
-              | _ -> assert false);
-              incr i
-            done;
-            add_run t ~refresh_every (List.rev !run) results batch
-        | fm ->
-            results.(!i) <- apply t fm;
-            incr i
-      done;
-      Array.to_list results
-  | _ -> List.map (apply t) mods
-
 let lookup t packet =
   t.packets <- t.packets + 1;
   match Tcam.lookup t.tcam ~rules:(Hashtbl.find t.store) packet with

@@ -81,25 +81,6 @@ val apply : t -> flow_mod -> (unit, string) result
     sequence (the scheduler is wrong), ["fault: ..."] an injected
     hardware failure; anything else is a scheduling/request rejection. *)
 
-val apply_batch :
-  ?refresh_every:int -> t -> flow_mod list -> (unit, string) result list
-(** Process a list of flow-mods in order, returning one result per mod
-    (same positions).  Maximal runs of consecutive [Add]s are driven
-    through the scheduler's batched-insert path when it offers one
-    ({!Fr_sched.Algo.t}[.insert_batch]): dependencies are compiled
-    sequentially so batch members order against each other, and metric
-    maintenance is flushed every [refresh_every] insertions (default [1]
-    — every slot the batch consumes is accounted before the next member
-    schedules, preserving per-op sequence quality; raise it to trade
-    movements for less maintenance, see {!Fr_sched.Fastrule.insert_batch}).
-    A failed mod never disturbs its batch mates — earlier requests stay
-    applied, later ones are re-scheduled without the failed rule — so each
-    result is exactly what the sequential [apply] stream would have
-    produced.  Agents created with [verify = true], agents with a fault
-    plan installed (and schedulers without a batch path) fall back to
-    per-mod {!apply}, so the shadow-table check and the fault plan still
-    guard every sequence. *)
-
 val set_fault : t -> Fr_tcam.Fault.t option -> unit
 (** Install (or clear) a fault plan consulted before every hardware op.
     Intended for the conformance harness on the (default) FastRule

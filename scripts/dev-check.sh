@@ -19,6 +19,9 @@ dune build @conform
 echo "== dune build @conform-faults (crash, failover, degraded oracle drills) =="
 dune build @conform-faults
 
+echo "== dune build @ctrl-drills (crash, failover, chaos, dead-row, parallel-flush drills) =="
+dune build @ctrl-drills
+
 echo "== dune build @cache (cache-tier oracle smoke run) =="
 dune build @cache
 
@@ -28,33 +31,8 @@ dune build @net
 echo "== dune build @plane (lookup-under-update smoke run) =="
 dune build @plane
 
-echo "== journal recovery drill (crash mid-flush, recover, flush clean) =="
-J=$(mktemp -d)
 CLI=_build/default/bin/fastrule_cli.exe
 dune build bin/fastrule_cli.exe
-status=0
-"$CLI" ctrl -k acl4 -s 4 -n 400 -u 2000 -b 32 \
-  --journal "$J" --crash-after 5 --crash-mid-drain >/dev/null || status=$?
-[ "$status" -eq 42 ] || { echo "crash drill: expected exit 42, got $status"; exit 1; }
-"$CLI" ctrl --journal "$J" --recover >/dev/null
-rm -rf "$J"
-
-echo "== failover drill (persistent slow fault, zero shed, diverted > 0) =="
-out=$("$CLI" ctrl -k acl4 -s 4 -n 400 -c 2000 -u 2000 -b 32 \
-  --failover --slow-call 2 --fault 0:slow=8)
-echo "$out" | grep -q 'shed 0' || { echo "failover drill: submits were shed"; exit 1; }
-echo "$out" | grep -q 'failed 0  flushes' || { echo "failover drill: ops failed"; exit 1; }
-echo "$out" | grep -Eq 'diverted [1-9]' || { echo "failover drill: nothing diverted — fault never engaged"; exit 1; }
-
-echo "== chaos crash drill (random faults, crash mid-flush, stat, recover) =="
-J=$(mktemp -d)
-status=0
-"$CLI" ctrl -k acl4 -s 4 -n 400 -u 2000 -b 32 --failover --slow-call 2 \
-  --journal "$J" --chaos 6 --crash-after 8 --crash-mid-drain >/dev/null || status=$?
-[ "$status" -eq 42 ] || { echo "chaos crash drill: expected exit 42, got $status"; exit 1; }
-"$CLI" journal stat --journal "$J" >/dev/null
-"$CLI" ctrl --journal "$J" --recover >/dev/null
-rm -rf "$J"
 
 echo "== cache oracle under parallel drains (five schedulers, domains=4) =="
 out=$("$CLI" cache --oracle -k fw5 -n 250 --flows 15000 --skew 1.1 \
@@ -74,13 +52,6 @@ N4=$(mktemp -d)/fleet
   --journal "$N4" --domains 4 >/dev/null
 diff -r "$N1" "$N4" || { echo "fleet rollout: journals diverged between --domains 1 and 4"; exit 1; }
 rm -rf "$(dirname "$N1")" "$(dirname "$N4")"
-
-echo "== degraded-tcam drill (10% dead rows, discovery, zero shed) =="
-out=$("$CLI" ctrl -k acl4 -s 3 -n 300 -c 200 -u 1200 -b 32 \
-  --failover --dead-frac 0.10 --seed 7)
-echo "$out" | grep -q 'degraded:' || { echo "degraded drill: no summary line"; exit 1; }
-echo "$out" | grep -Eq 'dead discovered, degraded-diverted [0-9]+, shed 0' || { echo "degraded drill: submits were shed"; exit 1; }
-echo "$out" | grep -Eq '[1-9][0-9]* dead discovered' || { echo "degraded drill: stuck bank never discovered"; exit 1; }
 
 echo "== net chaos certification (random switch faults, domains 1 = 4 fingerprint) =="
 C1=$(mktemp); C4=$(mktemp)
@@ -118,16 +89,6 @@ out=$("$CLI" plane -k fw5 -n 250 --seed 17 --ops 900 --flows 8000 \
   --min-lookups 800 --rebuild-every 64 --no-oracle)
 echo "$out" | grep -q 'disagree 0' || { echo "plane: software backend disagreed with the TCAM emulation"; exit 1; }
 echo "$out" | grep -q 'all conformant' || { echo "plane: storm leg not conformant"; exit 1; }
-
-echo "== parallel flush equivalence (same seed, 1 vs 4 domains, same journal bytes) =="
-J1=$(mktemp -d)
-J4=$(mktemp -d)
-"$CLI" ctrl -k fw5 -s 4 -n 300 -u 1500 -b 32 --failover --slow-call 2 \
-  --chaos 4 --allow-failures --journal "$J1" --domains 1 >/dev/null
-"$CLI" ctrl -k fw5 -s 4 -n 300 -u 1500 -b 32 --failover --slow-call 2 \
-  --chaos 4 --allow-failures --journal "$J4" --domains 4 >/dev/null
-diff -r "$J1" "$J4" || { echo "parallel flush: journals diverged between --domains 1 and 4"; exit 1; }
-rm -rf "$J1" "$J4"
 
 echo "== perfbench smoke (serve; its backend check fails any wrong lookup) =="
 python3 perfbench/run.py --workload serve --seed 1 --seconds 3 --trace 0 >/dev/null

@@ -1,7 +1,7 @@
 (* Tests for the Fr_ctrl control plane: partitioner determinism, the
-   coalescing state machine, batched apply, shard failure isolation, and
-   the queue's guiding invariant (drain == raw replay, failures ignored)
-   as qcheck properties. *)
+   coalescing state machine, shard failure isolation, and the queue's
+   guiding invariant (drain == raw replay, failures ignored) as qcheck
+   properties. *)
 
 open Fastrule
 
@@ -167,51 +167,11 @@ let test_coalesce_keeps_later_action () =
         (Rule.equal_action r'.Rule.action Rule.Controller)
   | ops -> Alcotest.failf "expected remove;add (%d ops)" (List.length ops))
 
-(* --- batched apply ----------------------------------------------------- *)
-
 let table_of agent =
   List.sort compare
     (List.map
        (fun (r : Rule.t) -> (r.Rule.id, r.Rule.action))
        (Agent.rules agent))
-
-let test_apply_batch_equivalence () =
-  let pool = Dataset.generate Dataset.FW5 ~seed:71 ~n:300 in
-  let initial = Array.sub pool 0 150 in
-  let mods =
-    List.concat
-      [
-        Array.to_list (Array.map (fun r -> Agent.Add r) (Array.sub pool 150 100));
-        [ Agent.Remove { id = (pool.(3)).Rule.id };
-          Agent.Set_action { id = (pool.(7)).Rule.id; action = Rule.Drop } ];
-        Array.to_list (Array.map (fun r -> Agent.Add r) (Array.sub pool 250 50));
-      ]
-  in
-  let seq = Agent.of_rules ~capacity:900 initial in
-  List.iter (fun m -> ignore (Agent.apply seq m)) mods;
-  List.iter
-    (fun refresh_every ->
-      let batched = Agent.of_rules ~capacity:900 initial in
-      let results = Agent.apply_batch ~refresh_every batched mods in
-      check_int "one result per mod" (List.length mods) (List.length results);
-      List.iter (fun r -> check "all applied" true (r = Ok ())) results;
-      check "same table as sequential" true (table_of seq = table_of batched);
-      check "dependency order intact" true
-        (Tcam.check_dag_order (Agent.tcam batched) (Agent.graph batched) = Ok ()))
-    [ 1; 4; max_int ];
-  (* Per-insert refresh must match the per-op path's movement count too —
-     that is the whole point of the default. *)
-  let batched = Agent.of_rules ~capacity:900 initial in
-  ignore (Agent.apply_batch ~refresh_every:1 batched mods);
-  check_int "same hardware ops as per-op"
-    (Tcam.ops_issued (Agent.tcam seq))
-    (Tcam.ops_issued (Agent.tcam batched));
-  check "refresh_every must be positive" true
-    (try
-       ignore (Agent.apply_batch ~refresh_every:0 batched
-                 [ Agent.Add pool.(0); Agent.Add pool.(1) ]);
-       false
-     with Invalid_argument _ -> true)
 
 (* --- shard failure isolation ------------------------------------------ *)
 
@@ -376,8 +336,6 @@ let suite =
         Alcotest.test_case "coalesce folds" `Quick test_coalesce_folds;
         Alcotest.test_case "coalesce keeps later action" `Quick
           test_coalesce_keeps_later_action;
-        Alcotest.test_case "apply_batch = sequential" `Quick
-          test_apply_batch_equivalence;
         Alcotest.test_case "shard failure isolation" `Quick
           test_shard_failure_isolation;
         Alcotest.test_case "telemetry round-trip" `Quick

@@ -136,53 +136,6 @@ let test_stores_stay_truthful_across_updates () =
         snapshot)
     Store.all_backends
 
-let test_insert_batch () =
-  let rng = Rng.create ~seed:777 in
-  for _ = 1 to 10 do
-    let graph, tcam = Fixtures.random_scenario rng ~size:120 ~k:40 ~edge_prob:0.06 in
-    let st = Greedy.create ~backend:Store.Bit_backend ~graph ~tcam () in
-    (* Build a batch of 15 requests anchored on existing entries. *)
-    let ids = Array.of_list (Tcam.used_ids tcam) in
-    let requests =
-      List.init 15 (fun i ->
-          let id = 500 + i in
-          let dep = Rng.pick rng ids in
-          Graph.add_node graph id;
-          Graph.add_edge graph id dep;
-          (id, [ dep ], []))
-    in
-    (match Greedy.insert_batch st requests with
-    | Error e -> Alcotest.failf "batch failed: %s" e
-    | Ok ops ->
-        check "ops non-empty" true (List.length ops >= 15);
-        (* Sequences were already applied. *)
-        List.iter
-          (fun (id, _, _) -> check "installed" true (Tcam.mem tcam id))
-          requests);
-    check "invariant" true (Tcam.check_dag_order tcam graph = Ok ());
-    (* The deferred maintenance must leave the store truthful. *)
-    let snap = Store.snapshot (Greedy.store st) in
-    Array.iteri
-      (fun a v -> check_int "truthful" (Metric.compute Dir.Up graph tcam ~addr:a) v)
-      snap
-  done
-
-let test_insert_batch_bad_request_keeps_store_truthful () =
-  let graph, tcam = Fixtures.fig3_with_request () in
-  let st = Greedy.create ~graph ~tcam () in
-  Graph.add_node graph 50;
-  (* Second request is contradictory (dep below dependent). *)
-  let requests = [ (9, [ 5 ], [ 6 ]); (50, [ 6 ], [ 5 ]) ] in
-  (match Greedy.insert_batch st requests with
-  | Ok _ -> Alcotest.fail "expected failure"
-  | Error _ -> ());
-  check "first applied" true (Tcam.mem tcam 9);
-  check "second not" false (Tcam.mem tcam 50);
-  let snap = Store.snapshot (Greedy.store st) in
-  Array.iteri
-    (fun a v -> check_int "truthful after error" (Metric.compute Dir.Up graph tcam ~addr:a) v)
-    snap
-
 let test_chain_bounded_by_metric () =
   (* The chain the greedy emits is never longer than the initial window's
      minimum metric + 1 (it follows strictly decreasing metrics). *)
@@ -215,9 +168,6 @@ let suite =
         Alcotest.test_case "window errors" `Quick test_window_errors;
         Alcotest.test_case "delete then reuse hole" `Quick test_delete_then_reuse;
         Alcotest.test_case "stores stay truthful" `Quick test_stores_stay_truthful_across_updates;
-        Alcotest.test_case "insert batch" `Quick test_insert_batch;
-        Alcotest.test_case "insert batch error handling" `Quick
-          test_insert_batch_bad_request_keeps_store_truthful;
         Alcotest.test_case "chain bounded by metric" `Quick test_chain_bounded_by_metric;
       ] );
   ]

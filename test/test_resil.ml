@@ -144,7 +144,6 @@ let test_meta_roundtrip () =
           capacity = 2_000;
           policy = "prefix:8";
           kind = "fr-sd";
-          refresh_every = 16;
           verify = true;
         }
       in
@@ -458,6 +457,84 @@ let test_journal_dir_refuses_reuse () =
            false
          with Invalid_argument _ -> true))
 
+(* The CLI asks before building anything: a used directory is an error
+   value carrying the same message the constructors raise. *)
+let test_journal_unused () =
+  let dir = Journal.fresh_dir ~prefix:"fr-test-unused" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      check "fresh dir is unused" true (Ctrl.journal_unused ~dir = Ok ());
+      ignore (Ctrl.create ~journal:dir ~shards:1 ~capacity:50 ());
+      match Ctrl.journal_unused ~dir with
+      | Ok () -> Alcotest.fail "a used dir must be reported"
+      | Error e ->
+          check "message names the dir" true
+            (String.starts_with ~prefix:"Service: journal directory" e))
+
+let write_text path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+(* A malformed shape is a read error, never an exception out of the
+   service constructors. *)
+let test_meta_rejects_bad_shape () =
+  let dir = Journal.fresh_dir ~prefix:"fr-test-badmeta" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let meta ~shards ~capacity =
+        Printf.sprintf
+          "fastrule-resil-meta v1\nshards %s\ncapacity %s\npolicy \
+           hash\nkind fr-o\nverify false\n"
+          shards capacity
+      in
+      List.iter
+        (fun (shards, capacity, want) ->
+          write_text (Journal.meta_file ~dir) (meta ~shards ~capacity);
+          (match Journal.read_meta ~dir with
+          | Ok _ -> Alcotest.failf "read_meta accepted %s" want
+          | Error e -> check_str "read_meta error" want e);
+          match Ctrl.recover ~journal:dir () with
+          | Ok _ -> Alcotest.failf "recover accepted %s" want
+          | Error e -> check_str "recover error" want e)
+        [
+          ("0", "100", "journal meta: bad shards 0");
+          ("-3", "100", "journal meta: bad shards -3");
+          ("2", "0", "journal meta: bad capacity 0");
+          ("two", "100", "journal meta: bad shards \"two\"");
+        ])
+
+(* Metas written while the deferred-refresh knob existed carry a
+   [refresh_every] line; recovery ignores it whatever its value. *)
+let test_legacy_meta_recovers () =
+  let dir = Journal.fresh_dir ~prefix:"fr-test-legacy" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let pool = Dataset.generate Dataset.ACL4 ~seed:5 ~n:60 in
+      let svc =
+        Ctrl.of_rules ~journal:dir ~shards:2 ~capacity:200
+          (Array.sub pool 0 30)
+      in
+      for i = 30 to 59 do
+        Ctrl.submit svc (Agent.Add pool.(i));
+        if i mod 10 = 9 then ignore (Ctrl.flush svc)
+      done;
+      let committed = service_image svc in
+      Ctrl.simulate_crash svc;
+      write_text (Journal.meta_file ~dir)
+        "fastrule-resil-meta v1\nshards 2\ncapacity 200\npolicy hash\nkind \
+         fr-o\nrefresh_every 16\nverify false\n";
+      match Ctrl.recover ~journal:dir () with
+      | Error e -> Alcotest.failf "recover: %s" e
+      | Ok rc ->
+          check "no warnings" true (rc.Ctrl.warnings = []);
+          check "rebuilt the committed image" true
+            (service_image rc.Ctrl.service = committed);
+          check "consistent" true (consistent rc.Ctrl.service))
+
 (* --- the crash lane of the service oracle -------------------------------- *)
 
 (* Crash-at-op-k differential run, the CI drill's trace: a crash between
@@ -528,5 +605,11 @@ let suite =
         QCheck_alcotest.to_alcotest prop_truncated_journal;
         Alcotest.test_case "crash oracle clean, domains 1 = 4" `Quick
           test_crash_oracle;
+        Alcotest.test_case "journal_unused reports a used dir" `Quick
+          test_journal_unused;
+        Alcotest.test_case "meta rejects a bad shape" `Quick
+          test_meta_rejects_bad_shape;
+        Alcotest.test_case "legacy refresh_every meta recovers" `Quick
+          test_legacy_meta_recovers;
       ] );
   ]
