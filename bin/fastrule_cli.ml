@@ -234,7 +234,13 @@ let ctrl_cmd =
   let run kind n seed shards capacity ops batch policy json journal do_recover
       faults crash_after crash_mid allow_failures failover slow_call slow_factor
       chaos_n domains dead_frac =
-    let bad fmt = Format.kasprintf (fun m -> Format.eprintf "fastrule_cli: %s@." m; exit 1) fmt in
+    let bad fmt =
+      Format.kasprintf
+        (fun m ->
+          Format.eprintf "fastrule_cli: %s@." m;
+          exit 2)
+        fmt
+    in
     if shards < 1 then bad "--shards must be >= 1 (got %d)" shards;
     if capacity < 1 then bad "--capacity must be >= 1 (got %d)" capacity;
     if dead_frac < 0.0 || dead_frac >= 1.0 then
@@ -628,7 +634,10 @@ let journal_stat_cmd =
   (* One service journal: header line plus per-shard stats.  Returns
      whether anything failed; [indent] nests it under a fleet tree. *)
   let stat_service ?(indent = "") dir =
-    match Journal.read_meta ~dir with
+    match
+      Result.bind (Journal.read_meta ~dir) (fun meta ->
+          Result.map (fun () -> meta) (Journal.check_shards ~dir meta))
+    with
     | Error e ->
         Format.printf "%sjournal %s: ERROR %s@." indent dir e;
         true

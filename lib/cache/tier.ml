@@ -144,10 +144,6 @@ let try_admit t (w : Rule.t) =
 let rank t id = try Hashtbl.find t.ranks id with Not_found -> max_int
 let by_rank t ids = List.sort (fun a b -> compare (rank t a) (rank t b)) ids
 
-let mod_id = function
-  | Agent.Add r -> r.Rule.id
-  | Agent.Set_action { id; _ } | Agent.Remove { id } -> id
-
 let degrade t phase failures =
   if t.degraded = None && failures <> [] then begin
     let m, why = List.hd failures in
@@ -165,7 +161,9 @@ let repair t phase failures =
   | _ ->
       Telemetry.record_cache_repair t.telemetry;
       let retry, dropped =
-        List.partition (fun (m, _) -> mod_id m |> Backing.mem t.backing) failures
+        List.partition
+          (fun (m, _) -> Agent.mod_id m |> Backing.mem t.backing)
+          failures
       in
       List.iter (fun (m, _) -> Ctrl.submit t.service m) retry;
       let rep = Ctrl.flush t.service in
@@ -178,11 +176,13 @@ let run_flush t phase mods =
   let rep = Ctrl.flush t.service in
   let failed = repair t phase (Ctrl.failures rep) in
   let failed_ids =
-    List.fold_left (fun s m -> Id_set.add (mod_id m) s) Id_set.empty failed
+    List.fold_left
+      (fun s m -> Id_set.add (Agent.mod_id m) s)
+      Id_set.empty failed
   in
   List.iter
     (fun m ->
-      let id = mod_id m in
+      let id = Agent.mod_id m in
       if not (Id_set.mem id failed_ids) then
         match m with
         | Agent.Add _ -> Hashtbl.replace t.installed id ()

@@ -631,12 +631,21 @@ let run_service ?(probes = 8) ?(batch = 4) ?domains ?capture fault
       f (Header.packet_in rng r.Rule.field)
     done
   in
+  (* Every flush of every lane is held to the route law: the service's
+     route table and overlay equal a full rebuild from its shards. *)
+  let flush ~scheduler s =
+    ignore (Service.flush s);
+    match Service.routes_consistent s with
+    | Ok () -> ()
+    | Error e -> diverge ~scheduler ("route law broken after a flush: " ^ e)
+  in
   (* Build a service of the lane's shape and drive the first [upto] events
      through it, flushing every [batch]; [on_flush] sees each flush
      boundary (the last event index it covers, or [upto] for the settling
      flush of the leftover tail). *)
   let drive ?journal ?(faulted = false) ?(settle = true)
       ?(on_flush = fun _ _ -> ()) kind upto =
+    let scheduler = Firmware.algo_kind_name kind in
     let s =
       Service.of_rules ~kind ?domains ~shards ~capacity:trace.Trace.capacity
         ~resil ?journal preload
@@ -648,12 +657,12 @@ let run_service ?(probes = 8) ?(batch = 4) ?domains ?capture fault
     for i = 0 to upto - 1 do
       Service.submit s (Trace.flow_mod pool events.(i));
       if (i + 1) mod batch = 0 then begin
-        ignore (Service.flush s);
+        flush ~scheduler s;
         on_flush s i
       end
     done;
     if settle && Service.pending s > 0 then begin
-      ignore (Service.flush s);
+      flush ~scheduler s;
       on_flush s upto
     end;
     s
@@ -729,8 +738,12 @@ let run_service ?(probes = 8) ?(batch = 4) ?domains ?capture fault
                  stage)
             recovered (drive kind upto)
         in
+        (match Service.routes_consistent recovered with
+        | Ok () -> ()
+        | Error e ->
+            diverge ~scheduler:name ("route law broken after recovery: " ^ e));
         against "post-recovery" !committed;
-        if Service.pending recovered > 0 then ignore (Service.flush recovered);
+        if Service.pending recovered > 0 then flush ~scheduler:name recovered;
         against "post-recovery flush" at;
         {
           lane with
@@ -777,7 +790,7 @@ let run_service ?(probes = 8) ?(batch = 4) ?domains ?capture fault
     in
     let heal_flushes = ref 0 in
     while (not (converged ())) && !heal_flushes < 100 do
-      ignore (Service.flush faulted);
+      flush ~scheduler:name faulted;
       incr heal_flushes
     done;
     let sum f =

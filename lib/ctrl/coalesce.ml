@@ -39,6 +39,7 @@ let create () =
   }
 
 let depth t = Hashtbl.length t.tbl
+let mem t id = Hashtbl.mem t.tbl id
 let is_empty t = Hashtbl.length t.tbl = 0 && t.rejected = []
 let coalesced t = t.coalesced
 let rejected t = List.rev t.rejected
@@ -55,16 +56,11 @@ let reject t fm msg =
 
 let fold t ~n = t.coalesced <- t.coalesced + n
 
-let fm_id = function
-  | Agent.Add r -> r.Rule.id
-  | Agent.Set_action { id; _ } -> id
-  | Agent.Remove { id } -> id
-
 let fence t ~epoch fm =
   match epoch with
   | None -> None
   | Some e -> (
-      let id = fm_id fm in
+      let id = Agent.mod_id fm in
       match Hashtbl.find_opt t.epochs id with
       | Some e' when e' <> e && Hashtbl.mem t.tbl id ->
           Some

@@ -63,6 +63,10 @@ val push : ?epoch:int -> t -> installed:bool -> Fr_switch.Agent.flow_mod -> outc
 val depth : t -> int
 (** Pending entries (a replace counts once). *)
 
+val mem : t -> int -> bool
+(** Whether rule [id] has a pending entry — whether any op of
+    {!pending_ops} touches it. *)
+
 val is_empty : t -> bool
 (** No pending ops {e and} no rejections to report. *)
 

@@ -53,10 +53,12 @@ type t = {
       (* executors a flush may use; 1 = the exact legacy sequential path *)
   shards : Shard.t array;
   routes : (int, int) Hashtbl.t;
-      (* rule id -> shard, for every id pending or installed.  Rebuilt
-         from the agents (and the still-pending queues of quarantined
-         shards) after each flush, so a failed Add never leaves a stale
-         route behind. *)
+      (* rule id -> shard, for every id pending or installed.  [submit]
+         and [rebalance] write it as they go; after each flush only the
+         ids the flush's shards took in are reconciled against their
+         shard ([reconcile_touched]), so a failed Add never leaves a stale
+         route behind and a flush costs the size of its window, not of
+         the table. *)
   resil : resil;
   journals : Journal.t array option;  (* one WAL per shard *)
   breakers : Breaker.t array;
@@ -244,10 +246,6 @@ let find_rule t id =
   | Some s -> Agent.rule (Shard.agent t.shards.(s)) id
   | None -> None
 
-let id_of = function
-  | Agent.Add r -> r.Rule.id
-  | Agent.Set_action { id; _ } | Agent.Remove { id } -> id
-
 let diverted_count t = Partition.Overlay.count t.overlay
 let epoch_of t id = Option.value (Hashtbl.find_opt t.epochs id) ~default:0
 
@@ -319,10 +317,91 @@ let route t fm =
           | Some s -> s
           | None -> Partition.route_id t.partition id))
 
+(* -- route upkeep ---------------------------------------------------- *)
+
+(* The route table a full scan of [shards] builds: every installed rule,
+   and every still-queued op (a quarantined shard still holds intent, and
+   follow-up ops for those ids must find the right queue).  O(table), so
+   only recovery builds routes this way; [routes_consistent] uses it as
+   the reference the incremental upkeep must match. *)
+let rebuild_routes shards =
+  let routes = Hashtbl.create 1024 in
+  Array.iteri
+    (fun s shard ->
+      List.iter
+        (fun (r : Rule.t) -> Hashtbl.replace routes r.Rule.id s)
+        (Agent.rules (Shard.agent shard));
+      List.iter
+        (fun fm -> Hashtbl.replace routes (Agent.mod_id fm) s)
+        (Shard.pending_mods shard))
+    shards;
+  routes
+
+(* The route law for one id on shard [s]: while [s] holds it (installed
+   or queued) the id routes to [s]; otherwise its route is dropped, but
+   only when it points at [s] — a failed duplicate Add must leave the
+   owner's route alone. *)
+let reconcile t s id =
+  let sh = t.shards.(s) in
+  if Agent.rule (Shard.agent sh) id <> None || Shard.has_pending_id sh id then
+    Hashtbl.replace t.routes id s
+  else if Hashtbl.find_opt t.routes id = Some s then Hashtbl.remove t.routes id
+
+(* An overlay binding that no longer matches its id's route is stale: the
+   id was removed, drained back home (rebalance), or its diverted Add
+   never materialised. *)
+let settle_overlay t id =
+  match Partition.Overlay.find t.overlay id with
+  | Some s when Hashtbl.find_opt t.routes id <> Some s ->
+      Partition.Overlay.settle t.overlay ~id
+  | Some _ | None -> ()
+
+(* Apply the route law to [(shard, ids)] pairs, then settle the overlay
+   of every id once all routes stand. *)
+let reconcile_ids t touched =
+  List.iter (fun (s, ids) -> List.iter (reconcile t s) ids) touched;
+  if Partition.Overlay.count t.overlay > 0 then
+    List.iter (fun (_, ids) -> List.iter (settle_overlay t) ids) touched
+
+(* After a flush: every id any shard took into its queue since the last
+   flush (submits, retried requeues, rebalance moves) or still held
+   queued at it, and nothing else.  Only those can have entered or left
+   a shard, since an apply changes no id but its own. *)
+let reconcile_touched t =
+  reconcile_ids t
+    (List.init (Array.length t.shards) (fun s ->
+         (s, Shard.take_touched t.shards.(s))))
+
+let routes_consistent t =
+  let want = rebuild_routes t.shards in
+  let show = function Some s -> string_of_int s | None -> "none" in
+  match
+    Seq.find
+      (fun id -> Hashtbl.find_opt t.routes id <> Hashtbl.find_opt want id)
+      (Seq.append (Hashtbl.to_seq_keys want) (Hashtbl.to_seq_keys t.routes))
+  with
+  | Some id ->
+      Error
+        (Printf.sprintf "route of rule %d is %s, a full rebuild says %s" id
+           (show (Hashtbl.find_opt t.routes id))
+           (show (Hashtbl.find_opt want id)))
+  | None -> (
+      match
+        List.find_opt
+          (fun (id, s) -> Hashtbl.find_opt want id <> Some s)
+          (Partition.Overlay.bindings t.overlay)
+      with
+      | Some (id, s) ->
+          Error
+            (Printf.sprintf
+               "overlay binds rule %d to shard %d, but its route is %s" id s
+               (show (Hashtbl.find_opt want id)))
+      | None -> Ok ())
+
 type submit_outcome = Accepted | Overloaded of string
 
 let try_submit t fm =
-  let id = id_of fm in
+  let id = Agent.mod_id fm in
   let had_route = Hashtbl.mem t.routes id in
   let s = route t fm in
   let sh = t.shards.(s) in
@@ -347,9 +426,13 @@ let try_submit t fm =
     (match t.journals with
     | Some js -> ignore (Journal.log_mod js.(s) fm)
     | None -> ());
-    (if t.resil.failover then
-       ignore (Shard.submit ~epoch:(epoch_of t id) sh fm)
-     else ignore (Shard.submit sh fm));
+    let epoch = if t.resil.failover then Some (epoch_of t id) else None in
+    (match Shard.submit ?epoch sh fm with
+    | Coalesce.Annihilated ->
+        (* A Remove cancelled its pending Add: the id left the shard
+           without a drain, so its route goes now. *)
+        reconcile_ids t [ (s, [ id ]) ]
+    | Coalesce.Queued | Coalesce.Folded | Coalesce.Rejected _ -> ());
     Accepted
   end
 
@@ -370,32 +453,9 @@ let applied r =
     r.results
 
 let failures r =
-  Array.fold_left
-    (fun acc (d : Shard.drain_result) -> acc @ d.Shard.failed)
-    [] r.results
-
-let rebuild_routes t =
-  Hashtbl.reset t.routes;
-  Array.iteri
-    (fun s shard ->
-      List.iter
-        (fun (r : Rule.t) -> Hashtbl.replace t.routes r.Rule.id s)
-        (Agent.rules (Shard.agent shard));
-      (* A quarantined shard still holds queued intent; keep its routes
-         so follow-up ops for those ids find the right queue. *)
-      List.iter
-        (fun fm -> Hashtbl.replace t.routes (id_of fm) s)
-        (Shard.pending_mods shard))
-    t.shards;
-  (* Prune overlay bindings that no longer describe reality: the id was
-     removed, or it drained back home (rebalance), or its diverted Add
-     never materialised. *)
-  List.iter
-    (fun (id, s) ->
-      match Hashtbl.find_opt t.routes id with
-      | Some s' when s' = s -> ()
-      | _ -> Partition.Overlay.settle t.overlay ~id)
-    (Partition.Overlay.bindings t.overlay)
+  List.concat_map
+    (fun (d : Shard.drain_result) -> d.Shard.failed)
+    (Array.to_list r.results)
 
 (* -- failure classification ------------------------------------------ *)
 
@@ -726,9 +786,9 @@ let flush t =
             end;
             Telemetry.set_dead_rows (Shard.telemetry sh) (Shard.dead_rows sh))
           t.shards;
+        reconcile_touched t;
         (results, List.rev !quarantined))
   in
-  rebuild_routes t;
   { results; quarantined; wall_ms }
 
 (* -- crash simulation ------------------------------------------------ *)
@@ -800,6 +860,20 @@ let restart_shard t ~shard:i =
           ignore (Shard.requeue sh fm);
           incr requeued)
         !mods;
+      (* The reset dropped whatever the shard held; the ids routed here
+         before it and the ids it holds now are the only routes it can
+         have changed. *)
+      let held =
+        List.map (fun (r : Rule.t) -> r.Rule.id) (Agent.rules (Shard.agent sh))
+        @ List.map Agent.mod_id (Shard.pending_mods sh)
+      in
+      reconcile_ids t
+        [
+          ( i,
+            Hashtbl.fold
+              (fun id s acc -> if s = i then id :: acc else acc)
+              t.routes held );
+        ];
       (match Agent.verify_consistent (Shard.agent sh) with
       | Ok () ->
           Ok
@@ -825,6 +899,7 @@ type recovery = {
 let recover ?latency ?(resil = default_resil) ?domains ~journal:dir () =
   let ( let* ) = Result.bind in
   let* meta = Journal.read_meta ~dir in
+  let* () = Journal.check_shards ~dir meta in
   let* kind =
     match Firmware.algo_kind_of_string meta.Journal.kind with
     | Some k -> Ok k
@@ -916,7 +991,7 @@ let recover ?latency ?(resil = default_resil) ?domains ~journal:dir () =
       partition = Partition.create ~shards:meta.Journal.shards policy;
       domains = resolve_domains domains;
       shards = shard_arr;
-      routes = Hashtbl.create 1024;
+      routes = rebuild_routes shard_arr;
       resil;
       journals = Some journals;
       breakers;
@@ -927,7 +1002,6 @@ let recover ?latency ?(resil = default_resil) ?domains ~journal:dir () =
       epochs = Hashtbl.create 64;
     }
   in
-  rebuild_routes t;
   Ok
     {
       service = t;

@@ -16,6 +16,12 @@
     prefix-locality policy, where the id alone does not determine the
     shard.  Ids the service has never routed fall back to the id hash —
     the shard then rejects the op exactly like a single agent would.
+    The route table is kept in step with the shards incrementally: a
+    {!flush} re-checks only the ids its shards took into their queues
+    (an id routes to the shard that holds it, installed or queued, and
+    loses its route when that shard drops it), so a flush costs the size
+    of its window, not of the table.  Only {!recover} builds the table by
+    scanning every shard.
 
     Failure isolation is structural: shards share nothing, a flush drains
     every shard regardless of its siblings' failures, and each shard's
@@ -200,6 +206,14 @@ val shard_of_rule : t -> int -> int option
 (** Where a rule id lives (installed) or will live (pending add); [None]
     for ids the service is not tracking. *)
 
+val routes_consistent : t -> (unit, string) result
+(** Check the route upkeep: the route table must equal the one a full
+    scan of every shard's installed rules and queued ops would build, and
+    every failover overlay binding must agree with it.  [Error] names the
+    first rule that disagrees.  O(table) — a test and oracle check, not
+    something the flush path calls.  Holds after every {!flush},
+    {!restart_shard} and {!recover}. *)
+
 val rule_count : t -> int
 (** Installed rules, summed over shards. *)
 
@@ -245,8 +259,10 @@ val flush : t -> flush_report
     advancing/settling each shard's breaker, writing the journal's
     begin/commit/checkpoint markers, running the failover rebalance pass
     (diverted ids whose home is healthy again migrate back, erase before
-    re-insert, never two copies live), and reconciling the routing table
-    against the installed state plus any still-queued intent.  Rebalance
+    re-insert, never two copies live), and reconciling the route of every
+    id its shards took in (submits, retried requeues, rebalance moves)
+    against that shard's installed state and queue — no pass over the
+    installed table.  The reconciliation is inside [wall_ms].  Rebalance
     drains are merged into the owning shard's [results] slot.
 
     With [domains > 1] the per-shard drains — retries, breaker
@@ -288,8 +304,9 @@ val restart_shard : t -> shard:int -> (readoption, string) result
     journal in place — checkpoint load, deterministic replay of committed
     drains, uncommitted suffix requeued — while the sibling shards keep
     running untouched.  The shard's hardware fault plan survives (the
-    fault lives in the switch, not the agent process).  Only sound
-    between flushes.  Errors when the rebuilt agent fails its consistency
+    fault lives in the switch, not the agent process).  The routes of the
+    ids the shard held before and holds after are reconciled once.  Only
+    sound between flushes.  Errors when the rebuilt agent fails its consistency
     check or the journal cannot be read.
     @raise Invalid_argument if the index is out of range; [Error] if the
     service has no journal. *)
@@ -320,7 +337,9 @@ val recover :
     rebuilt agent ({!Fr_switch.Agent.verify_consistent}), and re-enqueue
     the uncommitted suffix as pending intent for the next {!flush}.  The
     installed state of the result equals the committed prefix of the
-    journal. *)
+    journal.  The route table is built here by one scan of every shard.
+    [Error] when the metadata is malformed or its shard count disagrees
+    with the shard WALs present ({!Fr_resil.Journal.check_shards}). *)
 
 (** {1 Dumps} *)
 

@@ -8,6 +8,10 @@ type t = {
      the old one's volatile state is the thing the fault destroys. *)
   mutable agent : Agent.t;
   queue : Coalesce.t;
+  mutable touched : int list;
+      (* ids pushed into [queue] since the service last took them, plus
+         those still queued then — the only ids whose route a flush can
+         have changed *)
   telemetry : Telemetry.t;
   (* Construction parameters, kept so [reset] rebuilds an identical
      agent shape. *)
@@ -22,6 +26,7 @@ let create ?kind ?latency ?verify ~capacity ~id () =
     id;
     agent = Agent.create ?kind ?latency ?verify ~capacity ();
     queue = Coalesce.create ();
+    touched = [];
     telemetry = Telemetry.create ();
     kind;
     latency;
@@ -34,6 +39,7 @@ let of_rules ?kind ?latency ?verify ~capacity ~id rules =
     id;
     agent = Agent.of_rules ?kind ?latency ?verify ~capacity rules;
     queue = Coalesce.create ();
+    touched = [];
     telemetry = Telemetry.create ();
     kind;
     latency;
@@ -68,34 +74,31 @@ let reset t rules =
 let dead_rows t = Agent.dead_rows t.agent
 let probe_dead t = Agent.probe_dead t.agent
 
-let installed t fm =
-  let rule_id =
-    match fm with
-    | Agent.Add r -> r.Fr_tern.Rule.id
-    | Agent.Set_action { id; _ } -> id
-    | Agent.Remove { id } -> id
-  in
-  Agent.rule t.agent rule_id <> None
-
-let submit ?epoch t fm =
-  Telemetry.record_submitted t.telemetry;
-  Coalesce.push ?epoch t.queue ~installed:(installed t fm) fm
+let installed t fm = Agent.rule t.agent (Agent.mod_id fm) <> None
 
 (* Re-enqueue work the service already counted once: retried casualties
    and journal replay go through here so [submitted] stays an arrival
    count, not an attempt count. *)
-let requeue ?epoch t fm = Coalesce.push ?epoch t.queue ~installed:(installed t fm) fm
+let requeue ?epoch t fm =
+  t.touched <- Agent.mod_id fm :: t.touched;
+  Coalesce.push ?epoch t.queue ~installed:(installed t fm) fm
+
+let submit ?epoch t fm =
+  Telemetry.record_submitted t.telemetry;
+  requeue ?epoch t fm
 
 let has_work t = not (Coalesce.is_empty t.queue)
 let pending_mods t = Coalesce.pending_ops t.queue
+let has_pending_id t id = Coalesce.mem t.queue id
 
-let has_pending_id t id =
-  List.exists
-    (fun fm ->
-      match fm with
-      | Agent.Add r -> r.Fr_tern.Rule.id = id
-      | Agent.Set_action { id = i; _ } | Agent.Remove { id = i } -> i = id)
-    (Coalesce.pending_ops t.queue)
+(* An id still queued (behind a quarantined breaker) can still leave the
+   shard at a later drain, so it stays touched — once. *)
+let take_touched t =
+  let ids = t.touched in
+  t.touched <-
+    (if Coalesce.depth t.queue = 0 then []
+     else List.sort_uniq Int.compare (List.filter (has_pending_id t) ids));
+  ids
 
 type drain_result = {
   shard : int;

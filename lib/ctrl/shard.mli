@@ -91,18 +91,27 @@ val requeue : ?epoch:int -> t -> Fr_switch.Agent.flow_mod -> Coalesce.outcome
     the service already counted once: supervisor retries of transient
     casualties and journal replay during recovery. *)
 
+val take_touched : t -> int list
+(** The rule ids {!submit} and {!requeue} pushed since the last call,
+    plus those the last call returned that were still queued then
+    (repeats possible).  Only these ids can have entered or left this
+    shard's table or queue in between — {!Fr_switch.Agent.apply} changes
+    no id but its op's own — so they are all the service has to re-route
+    after a flush.  {!reset} keeps the list. *)
+
 val has_work : t -> bool
 (** Whether a drain would do anything (pending ops or queued
     rejections). *)
 
 val pending_mods : t -> Fr_switch.Agent.flow_mod list
 (** The drain plan a {!drain} would execute now, without clearing
-    anything — the service uses it to keep routes alive for ops queued
-    behind a quarantined shard. *)
+    anything — the service's full route rebuild uses it to keep routes
+    alive for ops queued behind a quarantined shard. *)
 
 val has_pending_id : t -> int -> bool
-(** Whether any pending op touches rule [id] — the rebalance pass only
-    migrates ids that are quiescent on both shards. *)
+(** Whether any pending op touches rule [id] ({!Coalesce.mem}) — a
+    queued id keeps its route, and the rebalance pass only migrates ids
+    that are quiescent on both shards. *)
 
 type drain_result = {
   shard : int;

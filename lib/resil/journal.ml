@@ -191,6 +191,30 @@ let read_meta ~dir =
       Error (Printf.sprintf "journal meta: bad magic %S (want %S)" m meta_magic)
   | [] -> Error "journal meta: empty file"
 
+(* One directory listing, so a meta claiming a huge shard count costs
+   nothing: the WALs present must be exactly shard-0 .. shard-(n-1). *)
+let check_shards ~dir (m : meta) =
+  match Sys.readdir dir with
+  | exception Sys_error e -> Error e
+  | names ->
+      let wals =
+        Array.fold_left
+          (fun acc name ->
+            match Scanf.sscanf_opt name "shard-%u.wal%!" Fun.id with
+            | Some s when Filename.basename (dir_file ~dir ~shard:s) = name ->
+                s :: acc
+            | Some _ | None -> acc)
+          [] names
+      in
+      let n = List.length wals in
+      if n = m.shards && List.for_all (fun s -> s < m.shards) wals then Ok ()
+      else
+        Error
+          (Printf.sprintf
+             "journal meta: shards %d disagrees with the %d shard WAL(s) in %s \
+              (want shard-0.wal .. shard-%d.wal)"
+             m.shards n dir (m.shards - 1))
+
 (* -- writer ---------------------------------------------------------- *)
 
 type t = {

@@ -70,6 +70,14 @@ val read_meta : dir:string -> (meta, string) result
     [capacity] below 1.  Unknown keys are ignored — among them the
     [refresh_every] line older metas carry. *)
 
+val check_shards : dir:string -> meta -> (unit, string) result
+(** [Error] unless [dir] holds exactly the WALs [shard-0.wal] ..
+    [shard-(shards-1).wal] the meta's shard count implies.  Costs one
+    directory listing whatever [shards] claims, so a corrupt count is
+    refused before anything is built per shard.  {!read_meta} parses the
+    file alone; readers of a whole journal ([Fr_ctrl.Service.recover],
+    [journal stat]) call both. *)
+
 val ensure_dir : string -> unit
 (** Create [dir] (and missing parents) if needed. *)
 

@@ -20,6 +20,10 @@ let pp_flow_mod ppf = function
       Format.fprintf ppf "set-action %d -> %a" id Rule.pp_action action
   | Remove { id } -> Format.fprintf ppf "remove %d" id
 
+let mod_id = function
+  | Add r -> r.Rule.id
+  | Set_action { id; _ } | Remove { id } -> id
+
 type t = {
   store : (int, Rule.t) Hashtbl.t;
   index : Overlap_index.t;  (* narrows the per-Add overlap scan *)

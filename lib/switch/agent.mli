@@ -35,6 +35,12 @@ type flow_mod =
 
 val pp_flow_mod : Format.formatter -> flow_mod -> unit
 
+val mod_id : flow_mod -> int
+(** The rule id a flow-mod acts on.  {!apply} changes the stored entry
+    of this id and of no other — a dead-row relocation removes and
+    re-adds the same id — so the id alone says which rule an applied
+    flow-mod may have moved in or out of the table. *)
+
 type t
 
 val create :

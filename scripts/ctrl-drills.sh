@@ -53,6 +53,28 @@ status=0
 "$CLI" ctrl --journal "$TMP/chaos" --recover >/dev/null \
   || fail "chaos crash drill: recovery did not exit 0"
 
+echo "== a meta whose shard count disagrees with the WALs is refused promptly =="
+cp -r "$TMP/chaos" "$TMP/badmeta"
+sed 's/^shards .*/shards 100000000/' "$TMP/chaos/meta" > "$TMP/badmeta/meta"
+status=0
+timeout 20 "$CLI" journal stat --journal "$TMP/badmeta" >"$TMP/badmeta.out" \
+  || status=$?
+[ "$status" -eq 1 ] || fail "bad meta: journal stat expected exit 1, got $status"
+grep -q 'disagrees with the 4 shard WAL' "$TMP/badmeta.out" \
+  || fail "bad meta: journal stat did not name the mismatch"
+status=0
+timeout 20 "$CLI" ctrl --journal "$TMP/badmeta" --recover >/dev/null 2>&1 \
+  || status=$?
+[ "$status" -eq 2 ] || fail "bad meta: recovery expected exit 2, got $status"
+
+echo "== ctrl usage errors exit 2 (exit 1 means the run had failures) =="
+for args in "-s 0" "-c 0" "-b 0" "--domains 0" "--dead-frac 1"; do
+  status=0
+  # shellcheck disable=SC2086
+  "$CLI" ctrl $args >/dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || fail "ctrl $args: expected exit 2, got $status"
+done
+
 echo "== degraded TCAM (10% dead rows: discovered, nothing shed) =="
 out=$("$CLI" ctrl -k acl4 -s 3 -n 300 -c 200 -u 1200 -b 32 \
   --failover --dead-frac 0.10 --seed 7)

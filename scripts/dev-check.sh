@@ -28,6 +28,9 @@ dune build @cache
 echo "== dune build @net (fleet transient-path oracle smoke run) =="
 dune build @net
 
+echo "== dune build @net-drills (transient-path oracle at 1 and 4 domains, fleet journal diff) =="
+dune build @net-drills
+
 echo "== dune build @plane (lookup-under-update smoke run) =="
 dune build @plane
 
@@ -38,20 +41,6 @@ echo "== cache oracle under parallel drains (five schedulers, domains=4) =="
 out=$("$CLI" cache --oracle -k fw5 -n 250 --flows 15000 --skew 1.1 \
   -a 1200 --slots 40 -s 2 -b 32 --domains 4)
 echo "$out" | grep -q 'all conformant' || { echo "cache oracle: divergence under domains=4"; exit 1; }
-
-echo "== net oracle under parallel drains (five schedulers, domains=4) =="
-"$CLI" net --oracle --shape ring --nodes 6 --flows 7 --seed 13 --batch 3 \
-  --domains 4 >/dev/null
-
-echo "== fleet journal equivalence (same rollout, 1 vs 4 domains, same bytes) =="
-N1=$(mktemp -d)/fleet
-N4=$(mktemp -d)/fleet
-"$CLI" net --shape tree --nodes 7 --seed 11 --batch 2 \
-  --journal "$N1" --domains 1 >/dev/null
-"$CLI" net --shape tree --nodes 7 --seed 11 --batch 2 \
-  --journal "$N4" --domains 4 >/dev/null
-diff -r "$N1" "$N4" || { echo "fleet rollout: journals diverged between --domains 1 and 4"; exit 1; }
-rm -rf "$(dirname "$N1")" "$(dirname "$N4")"
 
 echo "== net chaos certification (random switch faults, domains 1 = 4 fingerprint) =="
 C1=$(mktemp); C4=$(mktemp)

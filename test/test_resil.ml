@@ -582,6 +582,244 @@ let test_crash_oracle () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* A meta whose shard count disagrees with the WALs on disk is refused
+   by one directory listing — a count of 100 million used to make
+   [journal stat] and recovery walk (or build) that many shards. *)
+let test_meta_shards_checked_against_wals () =
+  let dir = Journal.fresh_dir ~prefix:"fr-test-metawal" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let svc =
+        Ctrl.of_rules ~journal:dir ~shards:2 ~capacity:64
+          (Array.init 6 (fun i -> mk_rule (i + 1)))
+      in
+      Ctrl.simulate_crash svc;
+      let meta shards =
+        Printf.sprintf
+          "fastrule-resil-meta v1\nshards %d\ncapacity 64\npolicy hash\nkind \
+           fr-o\nverify false\n"
+          shards
+      in
+      List.iter
+        (fun shards ->
+          write_text (Journal.meta_file ~dir) (meta shards);
+          let (), ms =
+            Measure.time_ms (fun () ->
+          (match Journal.read_meta ~dir with
+          | Error e -> Alcotest.failf "read_meta: %s" e
+          | Ok m ->
+              check
+                (Printf.sprintf "check_shards refuses shards %d" shards)
+                true
+                (Result.is_error (Journal.check_shards ~dir m)));
+          (match Ctrl.recover ~journal:dir () with
+          | Ok _ -> Alcotest.failf "recover accepted shards %d over 2 WALs" shards
+          | Error e ->
+              check_str "recover names the mismatch"
+                (Printf.sprintf
+                   "journal meta: shards %d disagrees with the 2 shard WAL(s) \
+                    in %s (want shard-0.wal .. shard-%d.wal)"
+                   shards dir (shards - 1))
+                e))
+          in
+          check
+            (Printf.sprintf "shards %d refused promptly" shards)
+            true (ms < 5_000.0))
+        [ 100_000_000; 3; 1 ];
+      write_text (Journal.meta_file ~dir) (meta 2);
+      check "the true count still recovers" true
+        (Result.is_ok (Ctrl.recover ~journal:dir ())))
+
+(* --- route upkeep ---------------------------------------------------------- *)
+
+(* The route law: outside a flush — so after every submit, flush, shard
+   restart and recovery — the route table and the failover overlay equal
+   what a full scan of the shards builds ([Ctrl.routes_consistent]).  One
+   plan mixes fresh, duplicate and unknown-id submits with flushes, a
+   slow shard that quarantines and heals (failover diverts, rebalance
+   drains home, a queue bound of 1 sheds), an optional 10% stuck-row
+   bank on another shard, shard restarts and crash-then-recover.
+   Returns what the plan exercised. *)
+type route_tally = {
+  mutable checks : int;
+  mutable shed : int;
+  mutable diverted : int;
+  mutable rebalanced : int;
+  mutable dead_max : int;
+  mutable restarts : int;
+  mutable recoveries : int;
+}
+
+let route_law_plan ~seed ~shards ~dead ~steps =
+  let capacity = 50 in
+  let preload = 12 * shards in
+  let pool = Dataset.generate Dataset.ACL4 ~seed ~n:(preload + steps) in
+  let resil =
+    {
+      Ctrl.default_resil with
+      Ctrl.failover = true;
+      slow_drain_ms = 2.0;
+      breaker_slow_threshold = 2;
+      breaker_cooldown = 4;
+      queue_bound = 1;
+      retry_budget = 4;
+    }
+  in
+  let tally =
+    {
+      checks = 0;
+      shed = 0;
+      diverted = 0;
+      rebalanced = 0;
+      dead_max = 0;
+      restarts = 0;
+      recoveries = 0;
+    }
+  in
+  let count svc =
+    for s = 0 to Ctrl.shards svc - 1 do
+      let t = Shard.telemetry (Ctrl.shard svc s) in
+      tally.shed <- tally.shed + Telemetry.shed t;
+      tally.diverted <- tally.diverted + Telemetry.diverted t;
+      tally.rebalanced <- tally.rebalanced + Telemetry.rebalanced t
+    done
+  in
+  let dir = Journal.fresh_dir ~prefix:"fr-test-routes" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let rng = Rng.create ~seed in
+      let svc =
+        ref
+          (Ctrl.of_rules ~resil ~journal:dir ~shards ~capacity
+             (Array.sub pool 0 preload))
+      in
+      let dead_shard = Rng.int rng shards in
+      let stuck =
+        List.init (capacity / 10) (fun k -> (10 * k) + Rng.int rng 10)
+      in
+      let arm () =
+        if dead then
+          Ctrl.set_fault !svc ~shard:dead_shard
+            (Some (Fault.create ~stuck ~seed ()))
+      in
+      arm ();
+      let law what =
+        tally.checks <- tally.checks + 1;
+        tally.dead_max <- max tally.dead_max (Ctrl.dead_rows !svc);
+        match Ctrl.routes_consistent !svc with
+        | Ok () -> ()
+        | Error e ->
+            Alcotest.failf "seed %d shards %d dead %b: after %s: %s" seed
+              shards dead what e
+      in
+      let slow = ref None in
+      let next = ref preload in
+      let live () = Rng.int rng !next in
+      let submit fm =
+        Ctrl.submit !svc fm;
+        "a submit"
+      in
+      for _ = 1 to steps do
+        law
+          (match Rng.int rng 100 with
+          | r when r < 40 && !next < Array.length pool ->
+              incr next;
+              submit (Agent.Add pool.(!next - 1))
+          | r when r < 48 ->
+              (* a duplicate Add of some earlier rule, wherever it lives *)
+              submit (Agent.Add pool.(live ()))
+          | r when r < 62 -> submit (Agent.Remove { id = live () })
+          | r when r < 65 ->
+              submit (Agent.Remove { id = 1_000_000 + Rng.int rng 50 })
+          | r when r < 72 ->
+              submit
+                (Agent.Set_action
+                   { id = live (); action = Rule.Forward (Rng.int rng 8) })
+          | r when r < 86 ->
+              ignore (Ctrl.flush !svc);
+              "a flush"
+          | r when r < 91 ->
+              (match !slow with
+              | Some s ->
+                  Ctrl.set_fault !svc ~shard:s None;
+                  slow := None
+              | None ->
+                  let s = Rng.int rng shards in
+                  if not (dead && s = dead_shard) then begin
+                    Ctrl.set_fault !svc ~shard:s
+                      (Some (Fault.create ~slow_ms:8.0 ~seed ()));
+                    slow := Some s
+                  end);
+              "a fault change"
+          | r when r < 96 ->
+              let s = Rng.int rng shards in
+              (match Ctrl.restart_shard !svc ~shard:s with
+              | Ok _ -> ()
+              | Error e ->
+                  Alcotest.failf "seed %d: restart_shard %d: %s" seed s e);
+              tally.restarts <- tally.restarts + 1;
+              "restart_shard"
+          | r when r < 98 -> (
+              Ctrl.simulate_crash ~mid_drain:(Rng.bool rng) !svc;
+              count !svc;
+              match Ctrl.recover ~resil ~journal:dir () with
+              | Error e -> Alcotest.failf "seed %d: recover: %s" seed e
+              | Ok rc ->
+                  svc := rc.Ctrl.service;
+                  tally.recoveries <- tally.recoveries + 1;
+                  (* fault plans lived in the lost agents *)
+                  slow := None;
+                  arm ();
+                  "recover")
+          | _ -> "nothing")
+      done;
+      Option.iter (fun s -> Ctrl.set_fault !svc ~shard:s None) !slow;
+      let settle = ref 0 in
+      while
+        (Ctrl.pending !svc > 0 || Ctrl.diverted_count !svc > 0) && !settle < 40
+      do
+        ignore (Ctrl.flush !svc);
+        law "a settling flush";
+        incr settle
+      done;
+      count !svc;
+      tally)
+
+let prop_route_law =
+  QCheck.Test.make ~count:30 ~name:"route law holds over random chaos plans"
+    QCheck.(
+      make
+        ~print:(fun (seed, shards, dead, steps) ->
+          Printf.sprintf "seed=%d shards=%d dead=%b steps=%d" seed shards dead
+            steps)
+        Gen.(
+          quad (int_bound 10_000) (int_range 2 4) bool (int_range 60 240)))
+    (fun (seed, shards, dead, steps) ->
+      (route_law_plan ~seed ~shards ~dead ~steps).checks > 0)
+
+(* Fixed plans, so the property's ingredients are known to occur: every
+   fault the route law is meant to survive happens at least once. *)
+let test_route_law_coverage () =
+  let total =
+    List.map
+      (fun seed ->
+        route_law_plan ~seed ~shards:3 ~dead:(seed mod 2 = 0) ~steps:300)
+      [ 1; 2; 3; 4; 5; 6 ]
+  in
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 total in
+  List.iter
+    (fun (what, n) -> check (what ^ " exercised") true (n > 0))
+    [
+      ("shedding", sum (fun t -> t.shed));
+      ("failover diversion", sum (fun t -> t.diverted));
+      ("rebalance home", sum (fun t -> t.rebalanced));
+      ("dead rows", sum (fun t -> t.dead_max));
+      ("restart_shard", sum (fun t -> t.restarts));
+      ("crash + recover", sum (fun t -> t.recoveries));
+    ]
+
 let suite =
   [
     ( "resil",
@@ -611,5 +849,10 @@ let suite =
           test_meta_rejects_bad_shape;
         Alcotest.test_case "legacy refresh_every meta recovers" `Quick
           test_legacy_meta_recovers;
+        Alcotest.test_case "meta shards checked against the WALs" `Quick
+          test_meta_shards_checked_against_wals;
+        QCheck_alcotest.to_alcotest prop_route_law;
+        Alcotest.test_case "route law plans cover every fault" `Quick
+          test_route_law_coverage;
       ] );
   ]
