@@ -8,6 +8,38 @@
 open Fastrule
 open Cmdliner
 
+(* A usage error: say why on stderr and exit 2 (exit 1 is kept for runs
+   that report failures or divergences). *)
+let bad fmt =
+  Format.kasprintf
+    (fun m ->
+      Format.eprintf "fastrule_cli: %s@." m;
+      exit 2)
+    fmt
+
+(* --domains N for every command that flushes services: absent leaves the
+   choice to the command ([none] documents it); N < 1 is a usage error. *)
+let domains_arg ?none doc =
+  let check = function
+    | Some d when d < 1 -> bad "--domains must be >= 1 (got %d)" d
+    | d -> d
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt (some ?none int) None & info [ "domains" ] ~docv:"N" ~doc))
+
+let json_arg doc =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
+
+(* Write one JSON document to [path] and say so on stdout. *)
+let write_json path ~what json =
+  let oc = open_out path in
+  output_string oc (Telemetry.Json.to_string json);
+  output_char oc '\n';
+  close_out oc;
+  Format.printf "wrote %s to %s@." what path
+
 let kind_conv =
   let parse s =
     match Dataset.of_string s with
@@ -223,30 +255,20 @@ let pp_latency_line service =
      else "inf (off/warming)")
 
 let ctrl_json path service ~scenario ~seed =
-  let oc = open_out path in
-  output_string oc
-    (Telemetry.Json.to_string (Ctrl.to_json ~scenario ~seed service));
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "@.wrote per-shard telemetry to %s@." path
+  Format.printf "@.";
+  write_json path ~what:"per-shard telemetry"
+    (Ctrl.to_json ~scenario ~seed service)
 
 let ctrl_cmd =
   let run kind n seed shards capacity ops batch policy json journal do_recover
       faults crash_after crash_mid allow_failures failover slow_call slow_factor
       chaos_n domains dead_frac =
-    let bad fmt =
-      Format.kasprintf
-        (fun m ->
-          Format.eprintf "fastrule_cli: %s@." m;
-          exit 2)
-        fmt
-    in
     if shards < 1 then bad "--shards must be >= 1 (got %d)" shards;
     if capacity < 1 then bad "--capacity must be >= 1 (got %d)" capacity;
     if dead_frac < 0.0 || dead_frac >= 1.0 then
       bad "--dead-frac must be in [0, 1) (got %g)" dead_frac;
     if batch < 1 then bad "--batch must be >= 1 (got %d)" batch;
-    if domains < 1 then bad "--domains must be >= 1 (got %d)" domains;
+    let domains = Option.value domains ~default:(Pool.recommended ()) in
     (match crash_after with
     | Some k when k < 1 -> bad "--crash-after must be >= 1 (got %d)" k
     | Some _ when journal = None ->
@@ -296,9 +318,7 @@ let ctrl_cmd =
     end;
     (* A used journal directory is a usage error, caught before any work. *)
     (match Option.map (fun dir -> Ctrl.journal_unused ~dir) journal with
-    | Some (Error e) ->
-        Format.eprintf "fastrule_cli: %s@." e;
-        exit 2
+    | Some (Error e) -> bad "%s" e
     | Some (Ok ()) | None -> ());
     let resil =
       let base = Ctrl.default_resil in
@@ -495,13 +515,7 @@ let ctrl_cmd =
           ~doc:"Routing policy: $(b,hash) or $(b,prefix:<k>) (top k \
                 destination-IP bits).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Also dump per-shard telemetry as JSON.")
-  in
+  let json_arg = json_arg "Also dump per-shard telemetry as JSON." in
   let journal_arg =
     Arg.(
       value
@@ -586,14 +600,12 @@ let ctrl_cmd =
                 events need --journal.")
   in
   let domains_arg =
-    Arg.(
-      value
-      & opt int (Pool.recommended ())
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Executors per flush: shards drain concurrently on N OCaml \
-                domains with a deterministic join (results are identical \
-                for every N; default: the runtime's recommended domain \
-                count).  1 = strictly sequential.")
+    domains_arg
+      ~none:(string_of_int (Pool.recommended ()))
+      "Executors per flush: shards drain concurrently on N OCaml domains \
+       with a deterministic join (results are identical for every N; \
+       default: the runtime's recommended domain count).  1 = strictly \
+       sequential."
   in
   let dead_frac_arg =
     Arg.(
@@ -761,18 +773,8 @@ let conform_cmd =
   let run kind n seed events pool capacity probes fault fault_max break_ record
       save replay shrink out crash_at crash_mid crash_batch failover_shard
       fo_shards degraded_frac strict domains capture =
-    let bad fmt =
-      Format.kasprintf
-        (fun m ->
-          Format.eprintf "fastrule_cli: %s@." m;
-          exit 2)
-        fmt
-    in
     if fault < 0. || fault > 1. then bad "--fault must be in [0,1] (got %g)" fault;
     if crash_batch < 1 then bad "--crash-batch must be >= 1 (got %d)" crash_batch;
-    (match domains with
-    | Some d when d < 1 -> bad "--domains must be >= 1 (got %d)" d
-    | _ -> ());
     (* A service-level fault lane: print the report and exit on its
        verdict (--strict only decides whether a vacuous lane fails). *)
     let run_fault ~probes ~batch fault trace =
@@ -1004,14 +1006,11 @@ let conform_cmd =
                 certifying nothing.")
   in
   let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Run the crash/failover/degraded services with N flush \
-                executors — with N > 1 a clean oracle is the proof that \
-                the parallel drain path is observationally equivalent to \
-                the sequential one (default: FASTRULE_DOMAINS or 1).")
+    domains_arg
+      "Run the crash/failover/degraded services with N flush executors — \
+       with N > 1 a clean oracle is the proof that the parallel drain path \
+       is observationally equivalent to the sequential one (default: \
+       FASTRULE_DOMAINS or 1)."
   in
   let capture_arg =
     Arg.(
@@ -1062,13 +1061,6 @@ let algo_conv =
 let cache_cmd =
   let run kind n seed flows skew accesses slots shards flush_every policy algo
       oracle no_check probes domains json =
-    let bad fmt =
-      Format.kasprintf
-        (fun m ->
-          Format.eprintf "fastrule_cli: %s@." m;
-          exit 2)
-        fmt
-    in
     if n < 1 then bad "-n must be >= 1 (got %d)" n;
     if flows < 1 then bad "--flows must be >= 1 (got %d)" flows;
     if skew < 0.0 || not (Float.is_finite skew) then
@@ -1078,9 +1070,6 @@ let cache_cmd =
     if shards < 1 then bad "--shards must be >= 1 (got %d)" shards;
     if flush_every < 1 then bad "--batch must be >= 1 (got %d)" flush_every;
     if probes < 0 then bad "--probes must be >= 0 (got %d)" probes;
-    (match domains with
-    | Some d when d < 1 -> bad "--domains must be >= 1 (got %d)" d
-    | _ -> ());
     let spec =
       {
         Cache_driver.kind;
@@ -1120,16 +1109,11 @@ let cache_cmd =
           last.Cache_driver.admit_skipped last.Cache_driver.repairs
           last.Cache_driver.rounds
     | [] -> ());
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Telemetry.Json.to_string
-             (Telemetry.Json.List (List.map Cache_driver.result_json results)));
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "wrote cache results to %s@." path);
+    Option.iter
+      (fun path ->
+        write_json path ~what:"cache results"
+          (Telemetry.Json.List (List.map Cache_driver.result_json results)))
+      json;
     let dirty =
       List.exists
         (fun (r : Cache_driver.result) -> r.Cache_driver.divergences <> [])
@@ -1213,19 +1197,11 @@ let cache_cmd =
                 mid-eviction).")
   in
   let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Flush executors for the tier's service (default: \
-                FASTRULE_DOMAINS or 1).")
+    domains_arg
+      "Flush executors for the tier's service (default: FASTRULE_DOMAINS or \
+       1)."
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH" ~doc:"Dump the per-run results as JSON.")
-  in
+  let json_arg = json_arg "Dump the per-run results as JSON." in
   Cmd.v
     (Cmd.info "cache"
        ~doc:"TCAM-as-cache tier under Zipf flow traffic: dependency-safe \
@@ -1242,13 +1218,6 @@ let cache_cmd =
 let plane_cmd =
   let run kind n seed flows skew ops shards capacity batch readers min_lookups
       rebuild_every algo sweep no_oracle events probes max_p99_ms domains json =
-    let bad fmt =
-      Format.kasprintf
-        (fun m ->
-          Format.eprintf "fastrule_cli: %s@." m;
-          exit 2)
-        fmt
-    in
     if n < 1 then bad "-n must be >= 1 (got %d)" n;
     if flows < 1 then bad "--flows must be >= 1 (got %d)" flows;
     if skew < 0.0 || not (Float.is_finite skew) then
@@ -1263,9 +1232,6 @@ let plane_cmd =
       bad "--rebuild-every must be >= 1 (got %d)" rebuild_every;
     if events < 0 then bad "--events must be >= 0 (got %d)" events;
     if probes < 1 then bad "--probes must be >= 1 (got %d)" probes;
-    (match domains with
-    | Some d when d < 1 -> bad "--domains must be >= 1 (got %d)" d
-    | _ -> ());
     let spec =
       {
         Plane.kind;
@@ -1334,16 +1300,11 @@ let plane_cmd =
         else not (Oracle.clean report)
       end
     in
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Telemetry.Json.to_string
-             (Telemetry.Json.List (List.map Plane.result_json results)));
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "wrote plane results to %s@." path);
+    Option.iter
+      (fun path ->
+        write_json path ~what:"plane results"
+          (Telemetry.Json.List (List.map Plane.result_json results)))
+      json;
     let dirty = disagreements > 0 || p99_breach <> None || oracle_dirty in
     Format.printf "plane: %d storm leg%s, %s@." (List.length results)
       (if List.length results = 1 then "" else "s")
@@ -1439,19 +1400,9 @@ let plane_cmd =
                 many milliseconds (0 = off).")
   in
   let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Flush executors for the storm (default: FASTRULE_DOMAINS \
-                or 1).")
+    domains_arg "Flush executors for the storm (default: FASTRULE_DOMAINS or 1)."
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH" ~doc:"Dump the per-leg results as JSON.")
-  in
+  let json_arg = json_arg "Dump the per-leg results as JSON." in
   Cmd.v
     (Cmd.info "plane"
        ~doc:"Lookup-under-update data plane: wait-free snapshot lookups \
@@ -1480,13 +1431,6 @@ let net_cmd =
   let run shape nodes flows reroute withdraw introduce waypoints seed batch
       shards capacity algo oracle chaos cases fault_specs abort_at hold
       deadline no_check samples domains journal json =
-    let bad fmt =
-      Format.kasprintf
-        (fun m ->
-          Format.eprintf "fastrule_cli: %s@." m;
-          exit 2)
-        fmt
-    in
     if flows < 1 then bad "--flows must be >= 1 (got %d)" flows;
     if batch < 1 then bad "--batch must be >= 1 (got %d)" batch;
     if shards < 1 then bad "--shards must be >= 1 (got %d)" shards;
@@ -1501,9 +1445,6 @@ let net_cmd =
     (match abort_at with
     | Some k when k < 0 -> bad "--abort-at must be >= 0 (got %d)" k
     | _ -> ());
-    (match domains with
-    | Some d when d < 1 -> bad "--domains must be >= 1 (got %d)" d
-    | _ -> ());
     let faults =
       Net_scenario.schedule_of_faults
         (List.map
@@ -1513,60 +1454,37 @@ let net_cmd =
              | Error e -> bad "--node-fault: %s" e)
            fault_specs)
     in
-    if chaos then begin
+    let module J = Telemetry.Json in
+    let domains_used =
+      match domains with Some d -> d | None -> Ctrl.default_domains ()
+    in
+    (* Every scheduler over the cases; a policy the switches cannot hold
+       is a usage error. *)
+    let oracle_run ~what params cases =
+      let r =
+        try Oracle.run_fleet ~samples ~shards ~capacity ?domains cases
+        with Invalid_argument m -> bad "%s" m
+      in
+      Oracle.pp_fleet_report Format.std_formatter r;
+      Option.iter
+        (fun path ->
+          write_json path ~what (J.Obj (params @ Oracle.fleet_json r)))
+        json;
+      exit (if Oracle.fleet_clean r then 0 else 1)
+    in
+    if chaos then
       (* seeded fleet-loss certification: random scenarios under random
          per-switch fault schedules, all five schedulers per case *)
-      let r =
-        Oracle.run_net_chaos ~cases ~samples ~shards ~capacity ?domains ~seed
-          ()
-      in
-      Oracle.pp_chaos_report Format.std_formatter r;
-      (match json with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc
-            (Telemetry.Json.to_string
-               (Telemetry.Json.Obj
-                  [
-                    ("mode", Telemetry.Json.Str "chaos");
-                    ("seed", Telemetry.Json.Int seed);
-                    ("cases", Telemetry.Json.Int cases);
-                    ("shards", Telemetry.Json.Int shards);
-                    ("capacity", Telemetry.Json.Int capacity);
-                    ( "domains",
-                      Telemetry.Json.Int
-                        (match domains with
-                        | Some d -> d
-                        | None -> Ctrl.default_domains ()) );
-                    ( "outcomes",
-                      Telemetry.Json.Obj
-                        (List.map
-                           (fun (k, n) -> (k, Telemetry.Json.Int n))
-                           r.Oracle.chaos_outcomes) );
-                    ( "fingerprint",
-                      Telemetry.Json.Str (Oracle.chaos_fingerprint r) );
-                    ( "divergences",
-                      Telemetry.Json.List
-                        (List.map
-                           (fun (d : Oracle.divergence) ->
-                             Telemetry.Json.Obj
-                               [
-                                 ("event", Telemetry.Json.Int d.Oracle.event);
-                                 ( "scheduler",
-                                   Telemetry.Json.Str d.Oracle.scheduler );
-                                 ( "detail",
-                                   Telemetry.Json.Str d.Oracle.detail );
-                               ])
-                           r.Oracle.chaos_divergences) );
-                    ("clean", Telemetry.Json.Bool (Oracle.chaos_clean r));
-                    ("wall_ms", Telemetry.Json.Float r.Oracle.chaos_wall_ms);
-                  ]));
-          output_char oc '\n';
-          close_out oc;
-          Format.printf "wrote chaos results to %s@." path);
-      exit (if Oracle.chaos_clean r then 0 else 1)
-    end;
+      oracle_run ~what:"chaos results"
+        [
+          ("mode", J.Str "chaos");
+          ("seed", J.Int seed);
+          ("cases", J.Int cases);
+          ("shards", J.Int shards);
+          ("capacity", J.Int capacity);
+          ("domains", J.Int domains_used);
+        ]
+        (Oracle.chaos_cases ~shards ~capacity ~seed cases);
     let topo =
       try Net_topo.make shape nodes with Invalid_argument m -> bad "%s" m
     in
@@ -1581,194 +1499,114 @@ let net_cmd =
       | Ok p -> p
       | Error e -> bad "cannot plan rollout: %s" e
     in
-    let domains_used =
-      match domains with Some d -> d | None -> Ctrl.default_domains ()
-    in
     let params =
       [
-        ("shape", Telemetry.Json.Str (Net_topo.shape_name topo));
-        ("nodes", Telemetry.Json.Int (Net_topo.nodes topo));
-        ("flows", Telemetry.Json.Int (List.length sc.old_policy));
-        ("new_flows", Telemetry.Json.Int (List.length sc.new_policy));
-        ("seed", Telemetry.Json.Int seed);
-        ("batch", Telemetry.Json.Int batch);
-        ("shards", Telemetry.Json.Int shards);
-        ("capacity", Telemetry.Json.Int capacity);
-        ("domains", Telemetry.Json.Int domains_used);
-        ("rounds", Telemetry.Json.Int (Net_plan.num_rounds plan));
-        ("total_mods", Telemetry.Json.Int (Net_plan.total_mods plan));
+        ("shape", J.Str (Net_topo.shape_name topo));
+        ("nodes", J.Int (Net_topo.nodes topo));
+        ("flows", J.Int (List.length sc.old_policy));
+        ("new_flows", J.Int (List.length sc.new_policy));
+        ("seed", J.Int seed);
+        ("batch", J.Int batch);
+        ("shards", J.Int shards);
+        ("capacity", J.Int capacity);
+        ("domains", J.Int domains_used);
+        ("rounds", J.Int (Net_plan.num_rounds plan));
+        ("total_mods", J.Int (Net_plan.total_mods plan));
       ]
     in
-    let dump obj =
-      match json with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Telemetry.Json.to_string (Telemetry.Json.Obj obj));
-          output_char oc '\n';
-          close_out oc;
-          Format.printf "wrote net results to %s@." path
+    if oracle then
+      oracle_run ~what:"net results"
+        (params @ [ ("mode", J.Str "oracle") ])
+        [ { Oracle.plan; faults = []; supervision = None; abort_at = None } ];
+    (* pure-model pre-check: the planner's output is certified before a
+       single flow-mod reaches a service *)
+    if not no_check then begin
+      match Net_check.check_plan ~samples ~seed plan with
+      | Ok () -> ()
+      | Error vs ->
+          List.iter (fun v -> Format.eprintf "  INCONSISTENT: %s@." v) vs;
+          bad "plan failed the transient-path check (%d violations)"
+            (List.length vs)
+    end;
+    let supervision =
+      if faults = [] && hold = None then None
+      else
+        Some
+          {
+            Net.default_supervision with
+            deadline_ms = deadline;
+            hold = (match hold with Some `Abort -> Net.Abort | _ -> Net.Wait);
+            hold_budget = (match hold with Some `Abort -> 4 | _ -> 16);
+            sup_seed = seed;
+          }
     in
-    if oracle then begin
-      let r = Oracle.run_net ~batch ~samples ~shards ~capacity ?domains sc in
-      Oracle.pp_net_report Format.std_formatter r;
-      dump
-        (params
-        @ [
-            ("mode", Telemetry.Json.Str "oracle");
-            ( "columns",
-              Telemetry.Json.List
-                (List.map
-                   (fun (c : Oracle.net_column) ->
-                     Telemetry.Json.Obj
-                       [
-                         ("scheduler", Telemetry.Json.Str c.net_scheduler);
-                         ("rounds", Telemetry.Json.Int c.net_rounds);
-                         ("applied", Telemetry.Json.Int c.net_applied);
-                         ("failed", Telemetry.Json.Int c.net_failed);
-                         ("probes", Telemetry.Json.Int c.net_probes);
-                       ])
-                   r.Oracle.net_columns) );
-            ( "divergences",
-              Telemetry.Json.List
-                (List.map
-                   (fun (d : Oracle.divergence) ->
-                     Telemetry.Json.Obj
-                       [
-                         ("event", Telemetry.Json.Int d.Oracle.event);
-                         ("scheduler", Telemetry.Json.Str d.Oracle.scheduler);
-                         ("detail", Telemetry.Json.Str d.Oracle.detail);
-                       ])
-                   r.Oracle.net_divergences) );
-            ("clean", Telemetry.Json.Bool (Oracle.net_clean r));
-            ("wall_ms", Telemetry.Json.Float r.Oracle.net_wall_ms);
-          ]);
-      exit (if Oracle.net_clean r then 0 else 1)
-    end
-    else begin
-      (* pure-model pre-check: the planner's output is certified before a
-         single flow-mod reaches a service *)
-      if not no_check then begin
-        match Net_check.check_plan ~samples ~seed plan with
-        | Ok () -> ()
-        | Error vs ->
-            List.iter (fun v -> Format.eprintf "  INCONSISTENT: %s@." v) vs;
-            bad "plan failed the transient-path check (%d violations)"
-              (List.length vs)
-      end;
-      let fleet =
-        Net.of_policy ~kind:algo ~shards ~capacity ?domains ?journal topo
-          sc.old_policy
-      in
-      let supervision =
-        if faults = [] && hold = None then None
-        else
-          Some
-            {
-              Net.default_supervision with
-              deadline_ms = deadline;
-              hold =
-                (match hold with Some `Abort -> Net.Abort | _ -> Net.Wait);
-              hold_budget =
-                (match hold with Some `Abort -> 4 | _ -> 16);
-              sup_seed = seed;
-            }
-      in
-      let report =
-        try
+    let fleet, report =
+      try
+        let fleet =
+          Net.of_policy ~kind:algo ~shards ~capacity ?domains ?journal topo
+            sc.old_policy
+        in
+        ( fleet,
           Net.execute
             ?faults:(if faults = [] then None else Some faults)
-            ?supervision ?abort_after_rounds:abort_at fleet plan
-        with Invalid_argument m -> bad "%s" m
-      in
-      Format.printf "%a" Net_plan.pp plan;
-      Format.printf "%a@." Net.pp_report report;
-      (* compact every node's WAL into a rules checkpoint: the snapshot
-         an aborted rollout leaves must be byte-identical to the
-         pre-rollout one (the CI abort drill diffs them) *)
-      if journal <> None then Net.checkpoint fleet;
-      (* convergence target depends on the verdict: a completed rollout
-         must land on the new policy, an aborted one byte-identically
-         back on the old *)
-      let expected_policy, expected_stamps, target =
-        match report.Net.outcome with
-        | Net.Aborted _ ->
-            (sc.old_policy, Net_plan.stamps_before plan, "pre-rollout policy")
-        | _ -> (sc.new_policy, Net_plan.stamps_after plan, "new policy")
-      in
-      let converged =
-        Net.stamps fleet = expected_stamps
-        &&
-        let reference =
-          Net_check.Model.of_policy topo
-            ~version_of:(fun f ->
-              List.assoc f.Net_policy.flow_id expected_stamps)
-            expected_policy
-        in
-        List.for_all
-          (fun node ->
-            List.map (fun (r : Rule.t) -> r.id) (Net.rules fleet node)
-            = List.map
-                (fun (r : Rule.t) -> r.id)
-                (Net_check.Model.rules reference node))
-          (List.init (Net_topo.nodes topo) Fun.id)
-      in
-      let outcome_str =
-        match report.Net.outcome with
-        | Net.Completed -> "completed"
-        | Net.Crashed -> "crashed"
-        | Net.Held k -> Printf.sprintf "held@%d" k
-        | Net.Aborted { at_round; rolled_back } ->
-            Printf.sprintf "aborted@%d-%d" at_round rolled_back
-      in
-      Format.printf "net: %d rounds  %d mods  %d switches  %s@."
-        report.Net.rounds_run report.Net.applied (Net_topo.nodes topo)
-        (if converged then "converged on the " ^ target
-         else "DID NOT converge");
-      dump
-        (params
-        @ [
-            ("mode", Telemetry.Json.Str "rollout");
-            ("algo", Telemetry.Json.Str (Net.kind_name fleet));
-            ("completed", Telemetry.Json.Bool report.Net.completed);
-            ("outcome", Telemetry.Json.Str outcome_str);
-            ("converged", Telemetry.Json.Bool converged);
-            ("applied", Telemetry.Json.Int report.Net.applied);
-            ("failed", Telemetry.Json.Int report.Net.failed);
-            ("retried", Telemetry.Json.Int report.Net.retried);
-            ("quarantines", Telemetry.Json.Int report.Net.quarantines);
-            ("recovered", Telemetry.Json.Int report.Net.recovered);
-            ("backoff_ms", Telemetry.Json.Float report.Net.backoff_ms);
-            ( "faults",
-              Telemetry.Json.List
-                (List.map (fun s -> Telemetry.Json.Str s) fault_specs) );
-            ("wall_ms", Telemetry.Json.Float report.Net.wall_ms);
-            ( "per_round",
-              Telemetry.Json.List
-                (List.map
-                   (fun (s : Net.round_stat) ->
-                     Telemetry.Json.Obj
-                       [
-                         ("index", Telemetry.Json.Int s.Net.r_index);
-                         ( "kind",
-                           Telemetry.Json.Str (Net_plan.kind_to_string s.Net.r_kind)
-                         );
-                         ("switches", Telemetry.Json.Int s.Net.r_switches);
-                         ("mods", Telemetry.Json.Int s.Net.r_mods);
-                         ("wall_ms", Telemetry.Json.Float s.Net.r_wall_ms);
-                       ])
-                   report.Net.per_round) );
-          ]);
-      let ok =
-        converged
-        &&
-        match report.Net.outcome with
-        | Net.Completed -> report.Net.failed = 0
-        | Net.Aborted _ -> true
-        | Net.Crashed | Net.Held _ -> false
-      in
-      exit (if ok then 0 else 1)
-    end
+            ?supervision ?abort_after_rounds:abort_at fleet plan )
+      with Invalid_argument m -> bad "%s" m
+    in
+    Format.printf "%a" Net_plan.pp plan;
+    Format.printf "%a@." Net.pp_report report;
+    (* compact every node's WAL into a rules checkpoint: the snapshot
+       an aborted rollout leaves must be byte-identical to the
+       pre-rollout one (the abort drill compares them) *)
+    if journal <> None then Net.checkpoint fleet;
+    (* a completed rollout must land on the new policy, an aborted one
+       back on the old — the same model check the oracle applies *)
+    let converged = Oracle.fleet_converged plan fleet report.Net.outcome in
+    Format.printf "net: %d rounds  %d mods  %d switches  %s@."
+      report.Net.rounds_run report.Net.applied (Net_topo.nodes topo)
+      (match converged with
+      | Ok target -> "converged on the " ^ target
+      | Error _ -> "DID NOT converge");
+    Option.iter
+      (fun path ->
+        write_json path ~what:"net results"
+          (J.Obj
+             (params
+             @ [
+                 ("mode", J.Str "rollout");
+                 ("algo", J.Str (Net.kind_name fleet));
+                 ("completed", J.Bool report.Net.completed);
+                 ("outcome", J.Str (Net.outcome_to_string report.Net.outcome));
+                 ("converged", J.Bool (Result.is_ok converged));
+                 ("applied", J.Int report.Net.applied);
+                 ("failed", J.Int report.Net.failed);
+                 ("retried", J.Int report.Net.retried);
+                 ("quarantines", J.Int report.Net.quarantines);
+                 ("recovered", J.Int report.Net.recovered);
+                 ("backoff_ms", J.Float report.Net.backoff_ms);
+                 ("faults", J.List (List.map (fun s -> J.Str s) fault_specs));
+                 ("wall_ms", J.Float report.Net.wall_ms);
+                 ( "per_round",
+                   J.List
+                     (List.map
+                        (fun (s : Net.round_stat) ->
+                          J.Obj
+                            [
+                              ("index", J.Int s.Net.r_index);
+                              ("kind", J.Str (Net_plan.kind_to_string s.Net.r_kind));
+                              ("switches", J.Int s.Net.r_switches);
+                              ("mods", J.Int s.Net.r_mods);
+                              ("wall_ms", J.Float s.Net.r_wall_ms);
+                            ])
+                        report.Net.per_round) );
+               ])))
+      json;
+    (* a converged rollout is completed or aborted; a completed one must
+       also leave no flow-mod failed *)
+    exit
+      (if Result.is_ok converged
+          && not (report.Net.completed && report.Net.failed > 0)
+       then 0
+       else 1)
   in
   let shape_arg =
     Arg.(
@@ -1906,12 +1744,9 @@ let net_cmd =
           ~doc:"Packets traced per stamped flow at each probe point.")
   in
   let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Executors for the fleet fan-out and every switch service \
-                (default: FASTRULE_DOMAINS or 1).")
+    domains_arg
+      "Executors for the fleet fan-out and every switch service (default: \
+       FASTRULE_DOMAINS or 1)."
   in
   let journal_arg =
     Arg.(
@@ -1921,12 +1756,7 @@ let net_cmd =
           ~doc:"Journal the rollout (one sub-journal per switch plus the \
                 rollout log); recover with the library's Net.recover.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH" ~doc:"Dump the run as JSON.")
-  in
+  let json_arg = json_arg "Dump the run as JSON." in
   Cmd.v
     (Cmd.info "net"
        ~doc:"Network-wide consistent updates: plan an old $(b,->) new policy \

@@ -973,450 +973,348 @@ let pp_report ppf r =
   pp_divergences ~limit:10 ppf r.divergences
 
 (* ------------------------------------------------------------------ *)
-(* Network rollout differential mode.                                  *)
+(* ------------------------------------------------------------------ *)
+(* Fleet lanes: rollouts held to the pure model.                       *)
 
 module Net_fleet = Fr_net.Fleet
 module Net_plan = Fr_net.Plan
 module Net_check = Fr_net.Check
 module Net_scenario = Fr_net.Scenario
+module Net_topo = Fr_net.Topo
 
-type net_column = {
-  net_scheduler : string;
-  net_rounds : int;
-  net_applied : int;
-  net_failed : int;
-  net_probes : int;
+type fleet_case = {
+  plan : Net_plan.t;
+  faults : Net_scenario.fault_schedule;
+  supervision : Net_fleet.supervision option;
+  abort_at : int option;
 }
 
-type net_report = {
-  net_shape : string;
-  net_nodes : int;
-  net_flows : int;
-  net_rounds_planned : int;
-  net_columns : net_column list;
-  net_divergences : divergence list;
-  net_wall_ms : float;
+type fleet_lane = {
+  kind : string;
+  verdict : string;
+  rounds_run : int;
+  mods_applied : int;
+  mods_failed : int;
+  retried : int;
+  quarantines : int;
+  recovered : int;
+  probe_points : int;
 }
 
-let net_clean r = r.net_divergences = []
+type fleet_report = {
+  cases : (fleet_case * fleet_lane list) list;
+  fleet_findings : divergence list;
+  fleet_ms : float;
+}
 
-let run_net ?(batch = 4) ?(samples = 2) ?(shards = 2) ?(capacity = 64) ?domains
-    (sc : Net_scenario.t) =
-  let plan =
-    match Net_scenario.plan ~batch sc with
-    | Ok p -> p
-    | Error e -> invalid_arg ("Oracle.run_net: " ^ e)
+let fleet_clean r = r.fleet_findings = []
+
+(* A case's seed is its supervision's jitter seed, which the chaos
+   generator sets to the seed it drew the case from. *)
+let case_seed c =
+  match c.supervision with Some s -> s.Net_fleet.sup_seed | None -> 0
+
+let fleet_converged plan fleet (outcome : Net_fleet.outcome) =
+  let holds policy stamps target =
+    let topo = Net_plan.topo plan in
+    let model =
+      Net_check.Model.of_policy topo
+        ~version_of:(fun f ->
+          Option.value ~default:0
+            (List.assoc_opt f.Fr_net.Policy.flow_id stamps))
+        policy
+    in
+    let tables =
+      List.for_all
+        (fun node ->
+          Net_fleet.rules fleet node = Net_check.Model.rules model node)
+        (List.init (Net_topo.nodes topo) Fun.id)
+    in
+    match (tables, Net_fleet.stamps fleet = stamps) with
+    | true, true -> Ok target
+    | false, true -> Error ("final tables differ from the " ^ target ^ " model")
+    | true, false -> Error ("final stamps differ from the " ^ target ^ " model")
+    | false, false ->
+        Error ("final tables and stamps differ from the " ^ target ^ " model")
   in
+  match outcome with
+  | Net_fleet.Completed ->
+      holds (Net_plan.new_policy plan) (Net_plan.stamps_after plan) "new policy"
+  | Net_fleet.Aborted _ ->
+      holds (Net_plan.old_policy plan) (Net_plan.stamps_before plan)
+        "pre-rollout policy"
+  | Net_fleet.Held k ->
+      Error (Printf.sprintf "rollout wedged (held at round %d)" k)
+  | Net_fleet.Crashed -> Error "unexpected crash outcome"
+
+let run_fleet ?(samples = 2) ?(shards = 2) ?(capacity = 64) ?domains cases =
   let kinds = Firmware.standard_algos Fr_sched.Store.Bit_backend in
-  let divergences = ref [] in
-  let diverge ~event ~scheduler detail =
-    divergences := { event; scheduler; detail } :: !divergences
+  let findings = ref [] in
+  let run_case i c =
+    let label =
+      match c.supervision with
+      | Some _ -> Printf.sprintf "case %d (seed %d): " i (case_seed c)
+      | None -> Printf.sprintf "case %d: " i
+    in
+    let diverge ~event ~scheduler detail =
+      findings := { event; scheduler; detail = label ^ detail } :: !findings
+    in
+    let before = Net_plan.stamps_before c.plan in
+    (* Only a crash fault needs a journal: the crashed node is re-adopted
+       from it mid-rollout. *)
+    let journaled = Net_scenario.has_crash c.faults in
+    let lane kind =
+      let name = Firmware.algo_kind_name kind in
+      let dir =
+        if journaled then Some (Journal.fresh_dir ~prefix:"fr-conform-fleet")
+        else None
+      in
+      Fun.protect ~finally:(fun () -> Option.iter rm_tree dir) @@ fun () ->
+      let fleet =
+        Net_fleet.of_policy ~kind ~shards ~capacity ?domains ?journal:dir
+          ~version_of:(fun f -> List.assoc f.Fr_net.Policy.flow_id before)
+          (Net_plan.topo c.plan) (Net_plan.old_policy c.plan)
+      in
+      (* One PRNG per lane, same seed for every lane: all lanes trace the
+         same packets, so any disagreement is the scheduler's. *)
+      let rng = Rng.create ~seed:11 in
+      let probes = ref 0 in
+      let check f ~round ~where =
+        incr probes;
+        List.iter
+          (diverge ~event:round ~scheduler:name)
+          (Net_check.consistent ~samples ~rng c.plan
+             ~stamps:(Net_fleet.stamp f) ~lookup:(Net_fleet.lookup f) ~where)
+      in
+      check fleet ~round:0 ~where:"initial";
+      let rep =
+        Net_fleet.execute ~probe:check
+          ?faults:(if c.faults = [] then None else Some c.faults)
+          ?supervision:c.supervision ?abort_after_rounds:c.abort_at fleet
+          c.plan
+      in
+      check fleet ~round:(-1) ~where:"final";
+      (match fleet_converged c.plan fleet rep.Net_fleet.outcome with
+      | Ok _ -> ()
+      | Error why -> diverge ~event:(-1) ~scheduler:name why);
+      if rep.Net_fleet.completed && rep.Net_fleet.failed > 0 then
+        diverge ~event:(-1) ~scheduler:name
+          (Printf.sprintf "%d flow-mods failed during the rollout"
+             rep.Net_fleet.failed);
+      {
+        kind = name;
+        verdict = Net_fleet.outcome_to_string rep.Net_fleet.outcome;
+        rounds_run = rep.Net_fleet.rounds_run;
+        mods_applied = rep.Net_fleet.applied;
+        mods_failed = rep.Net_fleet.failed;
+        retried = rep.Net_fleet.retried;
+        quarantines = rep.Net_fleet.quarantines;
+        recovered = rep.Net_fleet.recovered;
+        probe_points = !probes;
+      }
+    in
+    let lanes = List.map lane kinds in
+    (* Every lane is held to the same model, so equal verdicts imply
+       equal settled tables; the verdicts themselves must agree. *)
+    (match lanes with
+    | first :: rest ->
+        List.iter
+          (fun l ->
+            if l.verdict <> first.verdict then
+              diverge ~event:(-1) ~scheduler:l.kind
+                (Printf.sprintf "outcome %s but %s saw %s" l.verdict first.kind
+                   first.verdict))
+          rest
+    | [] -> ());
+    (c, lanes)
   in
-  let images = ref [] in
-  let (columns : net_column list), net_wall_ms =
-    Measure.time_ms (fun () ->
-        List.map
-          (fun kind ->
-            let name = Firmware.algo_kind_name kind in
-            let fleet =
-              Net_fleet.of_policy ~kind ~shards ~capacity ?domains sc.topo
-                sc.old_policy
-            in
-            (* One PRNG per scheduler lane, same seed for all lanes: the
-               probe order is deterministic, so every lane traces the
-               same packets and any disagreement is the scheduler's. *)
-            let rng = Rng.create ~seed:11 in
-            let probes = ref 0 in
-            let check f ~event ~where =
-              incr probes;
-              List.iter
-                (diverge ~event ~scheduler:name)
-                (Net_check.consistent ~samples ~rng plan
-                   ~stamps:(Net_fleet.stamp f) ~lookup:(Net_fleet.lookup f)
-                   ~where)
-            in
-            check fleet ~event:0 ~where:"initial";
-            let probe f ~round ~where = check f ~event:round ~where in
-            let report = Net_fleet.execute ~probe fleet plan in
-            if not report.Net_fleet.completed then
-              diverge ~event:(-1) ~scheduler:name "rollout did not complete";
-            if report.Net_fleet.failed > 0 then
-              diverge ~event:(-1) ~scheduler:name
-                (Printf.sprintf "%d flow-mods failed during the rollout"
-                   report.Net_fleet.failed);
-            check fleet ~event:(-1) ~where:"final";
-            (* Final state must equal a fleet built directly from the new
-               policy at the post-rollout versions. *)
-            let reference =
-              Net_fleet.of_policy ~kind ~shards ~capacity ?domains sc.topo
-                sc.new_policy
-                ~version_of:(fun fl ->
-                  List.assoc fl.Fr_net.Policy.flow_id
-                    (Net_plan.stamps_after plan))
-            in
-            let image =
-              List.init (Fr_net.Topo.nodes sc.topo) (fun node ->
-                  Net_fleet.rules fleet node)
-            in
-            let ref_image =
-              List.init (Fr_net.Topo.nodes sc.topo) (fun node ->
-                  Net_fleet.rules reference node)
-            in
-            if image <> ref_image then
-              diverge ~event:(-1) ~scheduler:name
-                "final tables differ from a fresh fleet on the new policy";
-            if Net_fleet.stamps fleet <> Net_plan.stamps_after plan then
-              diverge ~event:(-1) ~scheduler:name
-                "final stamps differ from the plan's";
-            images := (name, image) :: !images;
-            {
-              net_scheduler = name;
-              net_rounds = report.Net_fleet.rounds_run;
-              net_applied = report.Net_fleet.applied;
-              net_failed = report.Net_fleet.failed;
-              net_probes = !probes;
-            })
-          kinds)
-  in
-  (* Cross-scheduler: every lane must land on identical tables. *)
-  (match List.rev !images with
-  | [] | [ _ ] -> ()
-  | (ref_name, ref_image) :: rest ->
-      List.iter
-        (fun (name, image) ->
-          if image <> ref_image then
-            diverge ~event:(-1) ~scheduler:name
-              (Printf.sprintf "final tables differ from %s's" ref_name))
-        rest);
-  {
-    net_shape = Fr_net.Topo.shape_name sc.topo;
-    net_nodes = Fr_net.Topo.nodes sc.topo;
-    net_flows = List.length sc.old_policy;
-    net_rounds_planned = Net_plan.num_rounds plan;
-    net_columns = columns;
-    net_divergences = List.rev !divergences;
-    net_wall_ms;
-  }
+  let cases, fleet_ms = Measure.time_ms (fun () -> List.mapi run_case cases) in
+  { cases; fleet_findings = List.rev !findings; fleet_ms }
 
-(* ------------------------------------------------------------------ *)
-(* Network chaos certification mode.                                   *)
+let chaos_cases ?(shards = 2) ?(capacity = 64) ~seed n =
+  List.init n (fun i ->
+      let seed = seed + (7919 * i) in
+      let rng = Rng.create ~seed in
+      let shape =
+        match Rng.int rng 3 with
+        | 0 -> Net_topo.Line
+        | 1 -> Net_topo.Ring
+        | _ -> Net_topo.Tree
+      in
+      let nodes = 3 + Rng.int rng 4 in
+      let flows = 4 + Rng.int rng 3 in
+      let sc = Net_scenario.make ~flows ~seed (Net_topo.make shape nodes) in
+      let plan =
+        match Net_scenario.plan ~batch:4 sc with
+        | Ok p -> p
+        | Error e ->
+            invalid_arg (Printf.sprintf "Oracle.chaos_cases: seed %d: %s" seed e)
+      in
+      let rounds = Net_plan.num_rounds plan in
+      (* Every fourth case also pulls the operator abort lever at a random
+         committed boundary, so the rollback path runs even when no fault
+         escalates. *)
+      let abort_at =
+        if i mod 4 = 3 && rounds > 1 then Some (1 + Rng.int rng (rounds - 1))
+        else None
+      in
+      let hold, hold_budget =
+        if i mod 2 = 0 then (Net_fleet.Wait, 16) else (Net_fleet.Abort, 2)
+      in
+      (* The deadline sits far above any healthy round (a batch-4 round is
+         tens of modelled ms at 0.6 ms/op) and far below every injected
+         ack penalty (200+ ms), so timeouts fire exactly on scheduled slow
+         faults whichever scheduler's movement count is under it. *)
+      let supervision =
+        {
+          Net_fleet.default_supervision with
+          deadline_ms = 50.0;
+          retries = 1;
+          breaker_threshold = 2;
+          breaker_slow_threshold = 2;
+          breaker_cooldown = 1;
+          hold;
+          hold_budget;
+          sup_seed = seed;
+        }
+      in
+      {
+        plan;
+        faults =
+          Net_scenario.chaos_faults ~shards ~capacity ~seed ~rounds ~nodes ();
+        supervision = Some supervision;
+        abort_at;
+      })
 
-let outcome_name (o : Net_fleet.outcome) =
-  match o with
-  | Net_fleet.Completed -> "completed"
-  | Net_fleet.Crashed -> "crashed"
-  | Net_fleet.Held k -> Printf.sprintf "held@%d" k
-  | Net_fleet.Aborted { at_round; rolled_back } ->
-      Printf.sprintf "aborted@%d-%d" at_round rolled_back
+(* The reference lane's verdict per case: the first scheduler's, which
+   every other lane must match. *)
+let reference_lanes r =
+  List.filter_map
+    (fun (c, lanes) -> match lanes with l :: _ -> Some (c, l) | [] -> None)
+    r.cases
 
-type chaos_case = {
-  case_index : int;
-  case_seed : int;
-  case_shape : string;
-  case_nodes : int;
-  case_flows : int;
-  case_rounds : int;
-  case_faults : string list;
-  case_hold : string;
-  case_abort_at : int option;
-  case_outcome : string;
-  case_retried : int;
-  case_quarantines : int;
-  case_recovered : int;
-  case_probes : int;
-}
-
-type chaos_report = {
-  chaos_seed : int;
-  chaos_cases : chaos_case list;
-  chaos_outcomes : (string * int) list;
-  chaos_divergences : divergence list;
-  chaos_wall_ms : float;
-}
-
-let chaos_clean r = r.chaos_divergences = []
-
-let chaos_fingerprint r =
+let fleet_fingerprint r =
   let buf = Buffer.create 4096 in
-  List.iter
-    (fun c ->
+  List.iteri
+    (fun i (c, l) ->
+      let topo = Net_plan.topo c.plan in
       Buffer.add_string buf
-        (Printf.sprintf "%d %d %s %d %d %d [%s] %s %s %s %d %d %d %d\n"
-           c.case_index c.case_seed c.case_shape c.case_nodes c.case_flows
-           c.case_rounds
-           (String.concat "," c.case_faults)
-           c.case_hold
-           (match c.case_abort_at with
-           | None -> "-"
-           | Some k -> string_of_int k)
-           c.case_outcome c.case_retried c.case_quarantines c.case_recovered
-           c.case_probes))
-    r.chaos_cases;
+        (Printf.sprintf "%d %d %s %d %d %d [%s] %s %s %s %d %d %d %d\n" i
+           (case_seed c) (Net_topo.shape_name topo) (Net_topo.nodes topo)
+           (List.length (Net_plan.old_policy c.plan))
+           (Net_plan.num_rounds c.plan)
+           (String.concat ","
+              (List.concat_map
+                 (fun (node, fs) ->
+                   List.map
+                     (fun f -> Net_scenario.fault_to_string (node, f))
+                     fs)
+                 c.faults))
+           (match c.supervision with
+           | Some { hold = Net_fleet.Wait; _ } -> "wait"
+           | Some _ -> "abort"
+           | None -> "-")
+           (match c.abort_at with None -> "-" | Some k -> string_of_int k)
+           l.verdict l.retried l.quarantines l.recovered l.probe_points))
+    (reference_lanes r);
   List.iter
     (fun d ->
       Buffer.add_string buf
         (Printf.sprintf "div %d %s %s\n" d.event d.scheduler d.detail))
-    r.chaos_divergences;
+    r.fleet_findings;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* The chaos supervision profile.  The deadline sits far above any
-   healthy round (a batch-4 round is tens of modelled ms at
-   0.6 ms/op) and far below every injected ack penalty (200+ ms), so
-   timeouts fire exactly on scheduled slow faults regardless of which
-   scheduler's movement count is under it. *)
-let chaos_supervision ~hold ~hold_budget ~sup_seed =
-  {
-    Net_fleet.default_supervision with
-    deadline_ms = 50.0;
-    retries = 1;
-    breaker_threshold = 2;
-    breaker_slow_threshold = 2;
-    breaker_cooldown = 1;
-    hold;
-    hold_budget;
-    sup_seed;
-  }
+(* Verdict kind ("completed", "aborted", ...) -> case count, sorted. *)
+let outcome_counts r =
+  List.fold_left
+    (fun acc (_, l) ->
+      let key =
+        match String.index_opt l.verdict '@' with
+        | Some k -> String.sub l.verdict 0 k
+        | None -> l.verdict
+      in
+      let n = Option.value ~default:0 (List.assoc_opt key acc) in
+      (key, n + 1) :: List.remove_assoc key acc)
+    [] (reference_lanes r)
+  |> List.sort compare
 
-let run_net_chaos ?(cases = 100) ?(samples = 2) ?(shards = 2) ?(capacity = 64)
-    ?domains ~seed () =
-  if cases < 1 then invalid_arg "Oracle.run_net_chaos: cases must be positive";
-  let kinds = Firmware.standard_algos Fr_sched.Store.Bit_backend in
-  let divergences = ref [] in
-  let diverge ~event ~scheduler detail =
-    divergences := { event; scheduler; detail } :: !divergences
-  in
-  let run_case i =
-    let case_seed = seed + (7919 * i) in
-    let rng = Rng.create ~seed:case_seed in
-    let shape =
-      match Rng.int rng 3 with
-      | 0 -> Fr_net.Topo.Line
-      | 1 -> Fr_net.Topo.Ring
-      | _ -> Fr_net.Topo.Tree
-    in
-    let nodes = 3 + Rng.int rng 4 in
-    let topo = Fr_net.Topo.make shape nodes in
-    let flows = 4 + Rng.int rng 3 in
-    let sc = Net_scenario.make ~flows ~seed:case_seed topo in
-    let plan =
-      match Net_scenario.plan ~batch:4 sc with
-      | Ok p -> p
-      | Error e ->
-          invalid_arg (Printf.sprintf "Oracle.run_net_chaos: seed %d: %s"
-             case_seed e)
-    in
-    let rounds = Net_plan.num_rounds plan in
-    let faults =
-      Net_scenario.chaos_faults ~shards ~capacity ~seed:case_seed ~rounds
-        ~nodes ()
-    in
-    let hold, hold_budget =
-      if i mod 2 = 0 then (Net_fleet.Wait, 16) else (Net_fleet.Abort, 2)
-    in
-    let abort_at =
-      (* every fourth case also pulls the operator abort lever at a
-         random committed boundary, so the rollback path is probed even
-         when no fault escalates *)
-      if i mod 4 = 3 && rounds > 1 then Some (1 + Rng.int rng (rounds - 1))
-      else None
-    in
-    let supervision =
-      chaos_supervision ~hold ~hold_budget ~sup_seed:case_seed
-    in
-    let images = ref [] and outcomes = ref [] in
-    let reference_stats = ref None in
-    List.iter
-      (fun kind ->
-        let name = Firmware.algo_kind_name kind in
-        let dir = Journal.fresh_dir ~prefix:"fr-conform-chaos" in
-        let fleet =
-          Net_fleet.of_policy ~kind ~shards ~capacity ?domains ~journal:dir
-            sc.topo sc.old_policy
-        in
-        let prng = Rng.create ~seed:11 in
-        let probes = ref 0 in
-        let check f ~event ~where =
-          incr probes;
-          List.iter
-            (fun d ->
-              diverge ~event ~scheduler:name
-                (Printf.sprintf "case %d (seed %d): %s" i case_seed d))
-            (Net_check.consistent ~samples ~rng:prng plan
-               ~stamps:(Net_fleet.stamp f) ~lookup:(Net_fleet.lookup f)
-               ~where)
-        in
-        check fleet ~event:0 ~where:"initial";
-        let probe f ~round ~where = check f ~event:round ~where in
-        let report =
-          Net_fleet.execute ~probe ~faults ~supervision
-            ?abort_after_rounds:abort_at fleet plan
-        in
-        check fleet ~event:(-1) ~where:"final";
-        let expected_policy, expected_stamps, against =
-          match report.Net_fleet.outcome with
-          | Net_fleet.Completed ->
-              (sc.new_policy, Net_plan.stamps_after plan, "new policy")
-          | Net_fleet.Aborted _ ->
-              (* abort contract: the fleet is byte-identical to a twin
-                 on which the rollout never started *)
-              (sc.old_policy, Net_plan.stamps_before plan, "pre-rollout")
-          | Net_fleet.Held k ->
-              diverge ~event:k ~scheduler:name
-                (Printf.sprintf
-                   "case %d (seed %d): rollout wedged (held at round %d)" i
-                   case_seed k);
-              (sc.old_policy, Net_fleet.stamps fleet, "held")
-          | Net_fleet.Crashed ->
-              diverge ~event:(-1) ~scheduler:name
-                (Printf.sprintf "case %d (seed %d): unexpected crash outcome"
-                   i case_seed);
-              (sc.old_policy, Net_fleet.stamps fleet, "crashed")
-        in
-        (match report.Net_fleet.outcome with
-        | Net_fleet.Completed | Net_fleet.Aborted _ ->
-            let reference =
-              Net_fleet.of_policy ~kind ~shards ~capacity ?domains sc.topo
-                expected_policy
-                ~version_of:(fun fl ->
-                  match
-                    List.assoc_opt fl.Fr_net.Policy.flow_id expected_stamps
-                  with
-                  | Some v -> v
-                  | None -> 0)
-            in
-            let image =
-              List.init nodes (fun node -> Net_fleet.rules fleet node)
-            in
-            let ref_image =
-              List.init nodes (fun node -> Net_fleet.rules reference node)
-            in
-            if image <> ref_image then
-              diverge ~event:(-1) ~scheduler:name
-                (Printf.sprintf
-                   "case %d (seed %d): final tables differ from the %s twin"
-                   i case_seed against);
-            if Net_fleet.stamps fleet <> expected_stamps then
-              diverge ~event:(-1) ~scheduler:name
-                (Printf.sprintf
-                   "case %d (seed %d): final stamps differ from the %s twin"
-                   i case_seed against);
-            images := (name, image) :: !images
-        | _ -> ());
-        outcomes := (name, outcome_name report.Net_fleet.outcome) :: !outcomes;
-        if !reference_stats = None then
-          reference_stats :=
-            Some
-              ( outcome_name report.Net_fleet.outcome,
-                report.Net_fleet.retried,
-                report.Net_fleet.quarantines,
-                report.Net_fleet.recovered,
-                !probes );
-        rm_tree dir)
-      kinds;
-    (* Cross-lane: every scheduler must reach the same verdict, and the
-       lanes that settled must hold identical tables. *)
-    (match List.rev !outcomes with
-    | [] -> ()
-    | (ref_name, ref_outcome) :: rest ->
-        List.iter
-          (fun (name, o) ->
-            if o <> ref_outcome then
-              diverge ~event:(-1) ~scheduler:name
-                (Printf.sprintf
-                   "case %d (seed %d): outcome %s but %s saw %s" i case_seed
-                   o ref_name ref_outcome))
-          rest);
-    (match List.rev !images with
-    | [] | [ _ ] -> ()
-    | (ref_name, ref_image) :: rest ->
-        List.iter
-          (fun (name, image) ->
-            if image <> ref_image then
-              diverge ~event:(-1) ~scheduler:name
-                (Printf.sprintf
-                   "case %d (seed %d): final tables differ from %s's" i
-                   case_seed ref_name))
-          rest);
-    let case_outcome, case_retried, case_quarantines, case_recovered,
-        case_probes =
-      Option.value !reference_stats ~default:("none", 0, 0, 0, 0)
-    in
-    {
-      case_index = i;
-      case_seed;
-      case_shape = Fr_net.Topo.shape_name topo;
-      case_nodes = nodes;
-      case_flows = flows;
-      case_rounds = rounds;
-      case_faults =
-        List.concat_map
-          (fun (node, fs) ->
-            List.map (fun f -> Net_scenario.fault_to_string (node, f)) fs)
-          faults;
-      case_hold = (match hold with Net_fleet.Wait -> "wait" | _ -> "abort");
-      case_abort_at = abort_at;
-      case_outcome;
-      case_retried;
-      case_quarantines;
-      case_recovered;
-      case_probes;
-    }
-  in
-  let chaos_cases, chaos_wall_ms =
-    Measure.time_ms (fun () -> List.init cases run_case)
-  in
-  let outcomes =
-    List.fold_left
-      (fun acc c ->
-        let key =
-          match String.index_opt c.case_outcome '@' with
-          | Some k -> String.sub c.case_outcome 0 k
-          | None -> c.case_outcome
-        in
-        match List.assoc_opt key acc with
-        | Some n -> (key, n + 1) :: List.remove_assoc key acc
-        | None -> (key, 1) :: acc)
-      [] chaos_cases
-    |> List.sort compare
-  in
-  {
-    chaos_seed = seed;
-    chaos_cases;
-    chaos_outcomes = outcomes;
-    chaos_divergences = List.rev !divergences;
-    chaos_wall_ms;
-  }
-
-let pp_chaos_report ppf r =
-  Format.fprintf ppf "net chaos: %d cases from seed %d, %.0f ms@."
-    (List.length r.chaos_cases)
-    r.chaos_seed r.chaos_wall_ms;
-  Format.fprintf ppf "  outcomes:%s@."
-    (String.concat ""
-       (List.map
-          (fun (k, n) -> Printf.sprintf " %s=%d" k n)
-          r.chaos_outcomes));
-  let retried =
-    List.fold_left (fun a c -> a + c.case_retried) 0 r.chaos_cases
-  and quarantines =
-    List.fold_left (fun a c -> a + c.case_quarantines) 0 r.chaos_cases
-  and recovered =
-    List.fold_left (fun a c -> a + c.case_recovered) 0 r.chaos_cases
-  and probes = List.fold_left (fun a c -> a + c.case_probes) 0 r.chaos_cases in
-  Format.fprintf ppf
-    "  %d retries, %d quarantines, %d node recoveries, %d probe points/lane@."
-    retried quarantines recovered probes;
-  Format.fprintf ppf "  fingerprint: %s@." (chaos_fingerprint r);
-  pp_divergences ~limit:10 ppf r.chaos_divergences
-
-let pp_net_report ppf r =
-  Format.fprintf ppf
-    "net oracle: %s topology, %d nodes, %d flows, %d rounds planned@."
-    r.net_shape r.net_nodes r.net_flows r.net_rounds_planned;
-  List.iter
-    (fun c ->
+let pp_fleet_report ppf r =
+  (match r.cases with
+  | [ (c, lanes) ] ->
+      let topo = Net_plan.topo c.plan in
       Format.fprintf ppf
-        "  %-9s %d rounds, %4d applied, %d failed, %d probe points@."
-        c.net_scheduler c.net_rounds c.net_applied c.net_failed c.net_probes)
-    r.net_columns;
-  pp_divergences ~limit:10 ppf r.net_divergences
+        "net oracle: %s topology, %d nodes, %d flows, %d rounds planned@."
+        (Net_topo.shape_name topo) (Net_topo.nodes topo)
+        (List.length (Net_plan.old_policy c.plan))
+        (Net_plan.num_rounds c.plan);
+      List.iter
+        (fun l ->
+          Format.fprintf ppf
+            "  %-9s %d rounds, %4d applied, %d failed, %d probe points@."
+            l.kind l.rounds_run l.mods_applied l.mods_failed l.probe_points)
+        lanes
+  | cases ->
+      let refs = reference_lanes r in
+      let sum f = List.fold_left (fun a (_, l) -> a + f l) 0 refs in
+      Format.fprintf ppf "net chaos: %d cases from seed %d, %.0f ms@."
+        (List.length cases)
+        (match cases with (c, _) :: _ -> case_seed c | [] -> 0)
+        r.fleet_ms;
+      Format.fprintf ppf "  outcomes:%s@."
+        (String.concat ""
+           (List.map
+              (fun (k, n) -> Printf.sprintf " %s=%d" k n)
+              (outcome_counts r)));
+      Format.fprintf ppf
+        "  %d retries, %d quarantines, %d node recoveries, %d probe \
+         points/lane@."
+        (sum (fun l -> l.retried))
+        (sum (fun l -> l.quarantines))
+        (sum (fun l -> l.recovered))
+        (sum (fun l -> l.probe_points));
+      Format.fprintf ppf "  fingerprint: %s@." (fleet_fingerprint r));
+  pp_divergences ~limit:10 ppf r.fleet_findings
+
+let fleet_json r =
+  let module J = Telemetry.Json in
+  let summary =
+    match r.cases with
+    | [ (_, lanes) ] ->
+        [
+          ( "columns",
+            J.List
+              (List.map
+                 (fun l ->
+                   J.Obj
+                     [
+                       ("scheduler", J.Str l.kind);
+                       ("rounds", J.Int l.rounds_run);
+                       ("applied", J.Int l.mods_applied);
+                       ("failed", J.Int l.mods_failed);
+                       ("probes", J.Int l.probe_points);
+                     ])
+                 lanes) );
+        ]
+    | _ ->
+        [
+          ( "outcomes",
+            J.Obj (List.map (fun (k, n) -> (k, J.Int n)) (outcome_counts r)) );
+          ("fingerprint", J.Str (fleet_fingerprint r));
+        ]
+  in
+  summary
+  @ [
+      ( "divergences",
+        J.List
+          (List.map
+             (fun d ->
+               J.Obj
+                 [
+                   ("event", J.Int d.event);
+                   ("scheduler", J.Str d.scheduler);
+                   ("detail", J.Str d.detail);
+                 ])
+             r.fleet_findings) );
+      ("clean", J.Bool (fleet_clean r));
+      ("wall_ms", J.Float r.fleet_ms);
+    ]

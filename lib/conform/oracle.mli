@@ -218,149 +218,120 @@ val run_service :
 val pp_service_report : Format.formatter -> service_report -> unit
 (** The fault line, one line per lane, then the divergences. *)
 
-(** {1 Network rollout differential mode}
+(** {1 Fleet lanes}
 
-    The fleet-level conformance class: one seeded {!Fr_net.Scenario}
-    (topology + old → new policy diff) is planned once
-    ({!Fr_net.Plan.make}) and then rolled out, per scheduler kind,
-    through a full {!Fr_net.Fleet} — every topology node a complete
-    [Fr_ctrl.Service] running that scheduler.  The oracle hooks the
-    fleet's probe callback, so at {e every} reachable instant — the
-    initial state, after each switch's flush inside every round
-    (mid-flush probe points), after each individual ingress-stamp flip,
-    and at each round boundary — it traces seeded pure-region packets
-    hop by hop through the live tables ({!Fr_net.Check.consistent}) and
-    demands:
+    The fleet-level conformance class.  A {!fleet_case} is a planned
+    rollout ({!Fr_net.Plan.t} carries the topology, both policies and
+    both stamp sets) plus what the fleet must survive while driving it.
+    Per case and per scheduler kind, the oracle builds a full
+    {!Fr_net.Fleet} on the old policy — every topology node a complete
+    [Fr_ctrl.Service] running that scheduler — executes the plan, and
+    hooks the fleet's probe callback, so at {e every} reachable instant
+    (the initial state, after each node's flush and retry inside every
+    round, after each mid-flush node crash, after each individual
+    ingress-stamp flip, forward and rolled back, and at each round
+    boundary) it traces seeded pure-region packets hop by hop through
+    the live tables ({!Fr_net.Check.consistent}) and demands:
 
     - {b per-packet consistency} — every trace equals exactly the path
-      its (flow, stamped version) configures: entirely the old policy's
-      path or entirely the new one's, never a mix;
-    - {b waypoint preservation} — a flow's configured waypoint is on
-      every trace, at every instant;
-    - {b delivery} — traces end at the configured egress, no drops,
-      no loops, no rule gaps;
-    - {b convergence} — the final tables and stamps equal a fresh fleet
-      built directly from the new policy, and all five schedulers land
-      on identical tables.
+      its (flow, stamped version) configures in the {e original} plan:
+      entirely old or entirely new, never a mix;
+    - {b waypoint preservation} and {b delivery} — a flow's configured
+      waypoint is on every trace, and traces end at the configured egress
+      with no drops, loops or rule gaps;
+    - {b convergence to the model} — see {!fleet_converged}; a
+      completed rollout must also report no failed flow-mod, and a
+      [Held] (wedged) or [Crashed] verdict is itself a divergence;
+    - {b verdict agreement} — all five schedulers reach the same
+      outcome.  Since every settled lane equals the same pure model,
+      equal verdicts imply identical settled tables.
 
     All lanes trace the same packets (same probe PRNG seed), so any
-    disagreement is attributable to the scheduler under test. *)
+    disagreement is attributable to the scheduler under test.
+    Supervision runs on modelled time, so a report is deterministic and
+    domain-count-invariant up to {!fleet_report.fleet_ms}. *)
 
-type net_column = {
-  net_scheduler : string;
-  net_rounds : int;  (** rounds committed *)
-  net_applied : int;  (** flow-mods applied across the fleet *)
-  net_failed : int;
-  net_probes : int;  (** probe points checked for this lane *)
+type fleet_case = {
+  plan : Fr_net.Plan.t;
+  faults : Fr_net.Scenario.fault_schedule;
+      (** per-switch crash / slow / stuck faults; [[]] = none *)
+  supervision : Fr_net.Fleet.supervision option;
+      (** [None] with no faults: the plain (unsupervised) round loop *)
+  abort_at : int option;  (** operator abort at this round boundary *)
 }
 
-type net_report = {
-  net_shape : string;
-  net_nodes : int;
-  net_flows : int;  (** old-policy flows *)
-  net_rounds_planned : int;
-  net_columns : net_column list;
-  net_divergences : divergence list;
-      (** [event] is the round index; [-1] for initial/final checks *)
-  net_wall_ms : float;
+type fleet_lane = {
+  kind : string;  (** scheduler kind name *)
+  verdict : string;  (** e.g. ["completed"], ["aborted@2-3"], ["held@1"] *)
+  rounds_run : int;  (** forward rounds committed *)
+  mods_applied : int;  (** flow-mods applied across the fleet *)
+  mods_failed : int;
+  retried : int;  (** supervised per-node retries *)
+  quarantines : int;
+  recovered : int;  (** node re-adoptions from their journals *)
+  probe_points : int;  (** instants checked for this lane *)
 }
 
-val net_clean : net_report -> bool
+type fleet_report = {
+  cases : (fleet_case * fleet_lane list) list;
+      (** per input case, its lanes in scheduler order *)
+  fleet_findings : divergence list;
+      (** [event] is the round index ([-1] for settled-state checks);
+          [detail] starts with ["case I"] (plus ["(seed S)"] for a
+          supervised case) *)
+  fleet_ms : float;
+}
 
-val run_net :
-  ?batch:int ->
+val fleet_clean : fleet_report -> bool
+
+val fleet_converged :
+  Fr_net.Plan.t -> Fr_net.Fleet.t -> Fr_net.Fleet.outcome -> (string, string) result
+(** [Ok target] when the fleet's tables and stamps equal the pure model
+    ({!Fr_net.Check.Model.of_policy}, then {!Fr_net.Check.Model.rules})
+    of the policy its verdict promises: ["new policy"] at the plan's
+    post-rollout stamps after [Completed], ["pre-rollout policy"] at its
+    pre-rollout stamps after [Aborted].  [Error] says what differs; a
+    [Held] or [Crashed] rollout promises no policy. *)
+
+val run_fleet :
   ?samples:int ->
   ?shards:int ->
   ?capacity:int ->
   ?domains:int ->
-  Fr_net.Scenario.t ->
-  net_report
-(** Defaults: [batch = 4] mods per switch per round, [samples = 2]
-    packets per stamped flow per probe point, 2 shards of 64 slots per
-    node.  [domains] feeds both the fleet-level node fan-out and every
-    node service — running the oracle under [domains = 1] and [= 4]
-    (plus the CI journal-byte diff) extends the parallel ≡ sequential
-    equivalence proof to the fleet.
-    @raise Invalid_argument if the scenario does not plan. *)
+  fleet_case list ->
+  fleet_report
+(** Defaults: [samples = 2] packets per stamped flow per probe point, 2
+    shards of 64 slots per node.  [domains] feeds both the fleet-level
+    node fan-out and every node service.  A case whose schedule crashes
+    a node ({!Fr_net.Scenario.has_crash}) runs each lane on a journaled
+    fleet in a fresh temp directory (removed afterwards), so the node is
+    re-adopted mid-rollout.
+    @raise Invalid_argument if a case's old policy does not load into
+    the fleet (see {!Fr_net.Fleet.of_policy}). *)
 
-val pp_net_report : Format.formatter -> net_report -> unit
+val chaos_cases : ?shards:int -> ?capacity:int -> seed:int -> int -> fleet_case list
+(** [chaos_cases ~seed n]: [n] seeded random rollouts (line, ring or
+    tree of 3–6 nodes, 4–6 flows, batch 4), case [i] drawn from seed
+    [seed + 7919 i], each under a random per-switch fault schedule
+    ({!Fr_net.Scenario.chaos_faults}, stuck banks bounded by [shards]
+    and [capacity]) with supervision engaged.  Even cases run
+    [hold = Wait] with a generous pass budget; odd cases run
+    [hold = Abort] with a tight one, so fault escalation triggers real
+    compensating rollbacks; every fourth case also aborts at a random
+    committed boundary. *)
 
-(** {1 Network chaos certification mode}
+val fleet_fingerprint : fleet_report -> string
+(** Digest of every wall-clock-free field: per case its index, seed
+    (the supervision seed), shape, size, faults, hold policy, abort
+    boundary and the first lane's verdict and counters, then every
+    divergence.  Equal across [domains] settings for equal cases. *)
 
-    The switch-loss counterpart of {!run_net}: a seeded stream of random
-    rollout scenarios, each executed under a random per-switch fault
-    schedule ({!Fr_net.Scenario.chaos_faults} — control-agent crashes at
-    round boundaries and mid-flush, slow acks, stuck TCAM banks) with
-    per-node supervision engaged.  Even cases run [hold = Wait] with a
-    generous pass budget; odd cases run [hold = Abort] with a tight one,
-    so fault escalation triggers real compensating rollbacks; every
-    fourth case additionally pulls the operator abort lever at a random
-    committed boundary.  Per case and per scheduler lane the oracle
-    demands:
+val pp_fleet_report : Format.formatter -> fleet_report -> unit
+(** A one-case report prints its lane table; a larger one prints the
+    outcome tally, summed counters and {!fleet_fingerprint}.  Both end
+    with the divergences. *)
 
-    - {b consistency at every instant} — {!Fr_net.Check.consistent}
-      against the {e original} plan at the initial state, after every
-      node flush, every retry, every mid-flush node crash, every
-      individual stamp flip (forward and rolled-back), and every round
-      boundary;
-    - {b abort atomicity} — an [Aborted] rollout's fleet (tables and
-      stamps) equals a twin on which the rollout never started, a
-      [Completed] one equals the new-policy twin, and a [Held] verdict
-      (a wedged rollout) is itself a divergence;
-    - {b verdict agreement} — all five schedulers reach the same
-      outcome and identical settled tables.
-
-    Everything derives from [seed], and supervision runs on modelled
-    time, so the whole report (see {!chaos_fingerprint}) is
-    deterministic and domain-count-invariant. *)
-
-type chaos_case = {
-  case_index : int;
-  case_seed : int;
-  case_shape : string;
-  case_nodes : int;
-  case_flows : int;
-  case_rounds : int;  (** forward rounds planned *)
-  case_faults : string list;  (** {!Fr_net.Scenario.fault_to_string} forms *)
-  case_hold : string;  (** ["wait"] or ["abort"] *)
-  case_abort_at : int option;  (** operator abort boundary, if pulled *)
-  case_outcome : string;  (** e.g. ["completed"], ["aborted@2-3"] *)
-  case_retried : int;
-  case_quarantines : int;
-  case_recovered : int;
-  case_probes : int;  (** probe points checked per lane *)
-}
-
-type chaos_report = {
-  chaos_seed : int;
-  chaos_cases : chaos_case list;
-  chaos_outcomes : (string * int) list;
-      (** outcome kind -> case count, sorted *)
-  chaos_divergences : divergence list;
-  chaos_wall_ms : float;
-}
-
-val chaos_clean : chaos_report -> bool
-
-val chaos_fingerprint : chaos_report -> string
-(** Digest of every wall-clock-free field of the report — equal across
-    [domains] settings for equal seeds, which is what the CI chaos job
-    asserts. *)
-
-val run_net_chaos :
-  ?cases:int ->
-  ?samples:int ->
-  ?shards:int ->
-  ?capacity:int ->
-  ?domains:int ->
-  seed:int ->
-  unit ->
-  chaos_report
-(** Defaults: 100 cases, [samples = 2] packets per stamped flow per
-    probe point, 2 shards of 64 slots per node.  Each case builds a
-    journaled fleet per scheduler lane in a fresh temp directory
-    (removed afterwards) — crash faults re-adopt nodes from those
-    journals mid-rollout.
-    @raise Invalid_argument if [cases < 1]. *)
-
-val pp_chaos_report : Format.formatter -> chaos_report -> unit
+val fleet_json : fleet_report -> (string * Fr_ctrl.Telemetry.Json.v) list
+(** The JSON fields of the same view: [columns] for one case, or
+    [outcomes] and [fingerprint]; then [divergences], [clean] and
+    [wall_ms]. *)

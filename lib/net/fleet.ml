@@ -226,10 +226,17 @@ let of_policy ?(kind = Firmware.FR_O Fr_sched.Store.Bit_backend) ?(shards = 2)
     policy;
   let services =
     Array.init n (fun i ->
-        Service.of_rules ~kind
-          ?journal:(Option.map (fun d -> node_dir d i) journal)
-          ~domains ~shards ~capacity
-          (Array.of_list (List.rev per_node.(i))))
+        let rules = Array.of_list (List.rev per_node.(i)) in
+        try
+          Service.of_rules ~kind
+            ?journal:(Option.map (fun d -> node_dir d i) journal)
+            ~domains ~shards ~capacity rules
+        with Invalid_argument m ->
+          invalid_arg
+            (Printf.sprintf
+               "Fleet.of_policy: node %d's %d rules do not load into %d \
+                shards of %d TCAM slots (%s)"
+               i (Array.length rules) shards capacity m))
   in
   let stamps = Hashtbl.create 16 in
   List.iter
@@ -327,6 +334,13 @@ type outcome =
   | Crashed
   | Held of int
   | Aborted of { at_round : int; rolled_back : int }
+
+let outcome_to_string = function
+  | Completed -> "completed"
+  | Crashed -> "crashed"
+  | Held k -> Printf.sprintf "held@%d" k
+  | Aborted { at_round; rolled_back } ->
+      Printf.sprintf "aborted@%d-%d" at_round rolled_back
 
 type round_stat = {
   r_index : int;
@@ -907,14 +921,6 @@ let drive ?probe ?sup ~idempotent ?(markers = ("begin", "commit")) ~finalize t
     per_round = List.rev !per_round;
   }
 
-let has_crash_fault faults =
-  List.exists
-    (fun (_, fs) ->
-      List.exists
-        (function Scenario.Crash_at _ -> true | _ -> false)
-        fs)
-    faults
-
 let execute ?probe ?stop_after_rounds ?stop_in_rollback
     ?(crash_mode = Boundary) ?faults ?supervision ?abort_after_rounds t plan =
   ensure_alive t;
@@ -936,7 +942,7 @@ let execute ?probe ?stop_after_rounds ?stop_in_rollback
     | None, None -> None
     | fs, cfg ->
         let fs = Option.value fs ~default:[] in
-        if t.journal = None && has_crash_fault fs then
+        if t.journal = None && Scenario.has_crash fs then
           invalid_arg "Fleet.execute: crash faults need a journaled fleet";
         Some
           (make_sup

@@ -68,8 +68,10 @@ val of_policy :
     [domains] (default {!Fr_ctrl.Service.default_domains}) feeds both
     the fleet-level node fan-out and every node service.  [journal]
     names a fresh directory (one sub-journal per node).
-    @raise Invalid_argument if the policy fails {!Policy.check} or the
-    journal directory already holds a fleet. *)
+    @raise Invalid_argument if the policy fails {!Policy.check}, the
+    journal directory already holds a fleet, or a node's rules do not
+    load into its shards (the message names the node, its rule count,
+    [shards] and [capacity]). *)
 
 val topo : t -> Topo.t
 val kind_name : t -> string
@@ -140,6 +142,10 @@ type outcome =
   | Aborted of { at_round : int; rolled_back : int }
       (** aborted at [at_round]; [rolled_back] compensating rounds
           committed — the fleet is back on the pre-rollout policy *)
+
+val outcome_to_string : outcome -> string
+(** ["completed"], ["crashed"], ["held@K"] or ["aborted@K-R"] ([R]
+    compensating rounds committed). *)
 
 type round_stat = {
   r_index : int;

@@ -207,6 +207,12 @@ let schedule_of_faults faults =
   Hashtbl.fold (fun node fs acc -> (node, List.rev fs) :: acc) tbl []
   |> List.sort compare
 
+let has_crash faults =
+  List.exists
+    (fun (_, fs) ->
+      List.exists (function Crash_at _ -> true | _ -> false) fs)
+    faults
+
 let chaos_faults ?(max_faults = 3) ?(shards = 2) ?(capacity = 64) ~seed ~rounds
     ~nodes () =
   if nodes < 1 then invalid_arg "Scenario.chaos_faults: nodes must be positive";

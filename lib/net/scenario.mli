@@ -67,6 +67,10 @@ val schedule_of_faults : (int * node_fault) list -> fault_schedule
 (** Group a flat fault list into a node-ascending schedule, preserving
     each node's fault order. *)
 
+val has_crash : fault_schedule -> bool
+(** The schedule crashes some node's control agent: the fleet must be
+    journaled, so the node can be re-adopted from its journal. *)
+
 val chaos_faults :
   ?max_faults:int ->
   ?shards:int ->

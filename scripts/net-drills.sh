@@ -1,8 +1,11 @@
 #!/bin/sh
 # The net drills: the fleet rollout's transient-path oracle under one and
-# four drain domains, and a journaled rollout whose journal tree must be
-# byte-identical under --domains 1 and 4.  Run through the alias, which
-# builds the CLI first:
+# four drain domains; a journaled rollout whose journal tree must be
+# byte-identical under --domains 1 and 4; the seeded chaos certification,
+# whose fingerprint must not depend on the domain count; the abort drill,
+# whose post-rollback checkpoints must equal the pre-rollout ones; and
+# the usage errors (exit 2).  Run through the alias, which builds the CLI
+# first:
 #
 #   dune build @net-drills
 #
@@ -37,5 +40,47 @@ for d in 1 4; do
 done
 diff -r "$TMP/fleet-1" "$TMP/fleet-4" \
   || fail "fleet rollout: journals diverged between --domains 1 and 4"
+
+# 100 seeded random rollouts under random switch faults, every
+# scheduler per case: the wall-clock-free fingerprint of all verdicts
+# must be the same whatever the domain count.
+echo "== chaos certification (100 cases, FASTRULE_DOMAINS 1 = 4 fingerprint) =="
+for d in 1 4; do
+  FASTRULE_DOMAINS=$d "$CLI" net --chaos --cases 100 --seed 2026 \
+    --json "$TMP/chaos-$d.json" >/dev/null \
+    || fail "chaos certification diverged under FASTRULE_DOMAINS=$d"
+done
+f1=$(sed 's/.*"fingerprint":"\([^"]*\)".*/\1/' "$TMP/chaos-1.json")
+f4=$(sed 's/.*"fingerprint":"\([^"]*\)".*/\1/' "$TMP/chaos-4.json")
+echo "fingerprint: domains 1 $f1, domains 4 $f4"
+[ -n "$f1" ] && [ "$f1" = "$f4" ] \
+  || fail "chaos fingerprints diverged between domains 1 and 4"
+
+# --abort-at 0 rolls back an empty prefix, so its checkpoints are the
+# untouched pre-rollout policy; the rollback from round 2 must land on
+# the same bytes.
+echo "== abort drill (rollback checkpoint = pre-rollout checkpoint) =="
+for k in 0 2; do
+  "$CLI" net --shape ring --nodes 5 --seed 7 --batch 2 \
+    --journal "$TMP/abort-$k" --abort-at "$k" >/dev/null \
+    || fail "abort drill: --abort-at $k did not exit 0"
+done
+"$CLI" journal stat --journal "$TMP/abort-2" | grep -q 'rolled-back' \
+  || fail "abort drill: journal does not record the rollback"
+cat "$TMP"/abort-0/node-*/shard-*-ckpt-*.rules | sort > "$TMP/pre.rules"
+cat "$TMP"/abort-2/node-*/shard-*-ckpt-*.rules | sort > "$TMP/post.rules"
+cmp "$TMP/pre.rules" "$TMP/post.rules" \
+  || fail "abort drill: post-rollback checkpoint differs from pre-rollout"
+
+# A policy the switches cannot hold is a usage error, in every mode.
+echo "== usage errors exit 2 =="
+usage() {
+  status=0
+  "$CLI" net "$@" >/dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || fail "net $*: expected exit 2, got $status"
+}
+usage --flows 40 --nodes 3 --capacity 4
+usage --flows 40 --nodes 3 --capacity 4 --oracle
+usage --chaos --cases 3 --capacity 2
 
 echo "net-drills: OK"

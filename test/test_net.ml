@@ -607,51 +607,113 @@ let test_crash_during_rollback_recovers () =
 
 (* --- conformance oracle ------------------------------------------------ *)
 
-let test_run_net_fixtures () =
+let findings_text (r : Oracle.fleet_report) =
+  String.concat "; "
+    (List.map (fun (d : Oracle.divergence) -> d.detail) r.Oracle.fleet_findings)
+
+let test_run_fleet_fixtures () =
   List.iter
     (fun (shape, n, seed) ->
-      let topo = Net_topo.make shape n in
-      let sc = Net_scenario.make ~seed topo in
-      let r = Oracle.run_net ~domains:1 sc in
-      if not (Oracle.net_clean r) then
+      let _, plan = scenario_plan ~batch:4 ~seed shape n in
+      let r =
+        Oracle.run_fleet ~domains:1
+          [ { Oracle.plan; faults = []; supervision = None; abort_at = None } ]
+      in
+      if not (Oracle.fleet_clean r) then
         Alcotest.failf "%s seed %d: %s"
           (Net_topo.shape_to_string shape)
-          seed
-          (String.concat "; "
-             (List.map
-                (fun (d : Oracle.divergence) -> d.detail)
-                r.Oracle.net_divergences));
-      check_int "five schedulers" 5 (List.length r.Oracle.net_columns);
+          seed (findings_text r);
+      let lanes = List.concat_map snd r.Oracle.cases in
+      check_int "five schedulers" 5 (List.length lanes);
       List.iter
-        (fun (c : Oracle.net_column) ->
+        (fun (l : Oracle.fleet_lane) ->
           check_bool "probe points cover rounds" true
-            (c.net_probes > r.Oracle.net_rounds_planned))
-        r.Oracle.net_columns)
+            (l.probe_points > Net_plan.num_rounds plan))
+        lanes)
     [ (Net_topo.Line, 6, 1); (Net_topo.Ring, 5, 2); (Net_topo.Tree, 7, 3) ]
 
-let test_run_net_chaos_small () =
-  let r = Oracle.run_net_chaos ~cases:10 ~domains:1 ~seed:42 () in
-  if not (Oracle.chaos_clean r) then
-    Alcotest.failf "chaos divergences: %s"
-      (String.concat "; "
-         (List.map
-            (fun (d : Oracle.divergence) -> d.detail)
-            r.Oracle.chaos_divergences));
-  check_int "every case ran" 10 (List.length r.Oracle.chaos_cases);
+let test_run_fleet_chaos_small () =
+  let r = Oracle.run_fleet ~domains:1 (Oracle.chaos_cases ~seed:42 10) in
+  if not (Oracle.fleet_clean r) then
+    Alcotest.failf "chaos divergences: %s" (findings_text r);
+  check_int "every case ran" 10 (List.length r.Oracle.cases);
   check_bool "cases probe the rollout" true
     (List.for_all
-       (fun (c : Oracle.chaos_case) -> c.case_probes > 0)
-       r.Oracle.chaos_cases)
+       (fun (_, lanes) ->
+         List.for_all (fun (l : Oracle.fleet_lane) -> l.probe_points > 0) lanes)
+       r.Oracle.cases)
 
 let test_chaos_fingerprint_domains_invariant () =
-  let r1 = Oracle.run_net_chaos ~cases:8 ~domains:1 ~seed:42 () in
-  let r2 = Oracle.run_net_chaos ~cases:8 ~domains:2 ~seed:42 () in
-  check_bool "domains 1 clean" true (Oracle.chaos_clean r1);
-  check_bool "domains 2 clean" true (Oracle.chaos_clean r2);
+  let cases = Oracle.chaos_cases ~seed:42 8 in
+  let r1 = Oracle.run_fleet ~domains:1 cases in
+  let r2 = Oracle.run_fleet ~domains:2 cases in
+  check_bool "domains 1 clean" true (Oracle.fleet_clean r1);
+  check_bool "domains 2 clean" true (Oracle.fleet_clean r2);
   Alcotest.(check string)
     "verdict fingerprint is domain-count-invariant"
-    (Oracle.chaos_fingerprint r1)
-    (Oracle.chaos_fingerprint r2)
+    (Oracle.fleet_fingerprint r1)
+    (Oracle.fleet_fingerprint r2)
+
+(* A lane that cannot finish must be reported, not passed: a node touched
+   in round 0 acks too late for every attempt, and [hold = Wait] with a
+   two-pass budget parks the rollout there. *)
+let test_run_fleet_reports_wedge () =
+  let _, plan = scenario_plan ~batch:4 ~seed:19 Ring 5 in
+  let node = fst (List.hd (List.hd (Net_plan.rounds plan)).Net_plan.batches) in
+  let case =
+    {
+      Oracle.plan;
+      faults =
+        Net_scenario.schedule_of_faults
+          [
+            ( node,
+              Net_scenario.Slow_from
+                { round = 0; slow_ms = 200.; heal_after = max_int } );
+          ];
+      supervision =
+        Some
+          {
+            strict_supervision with
+            Net.hold = Net.Wait;
+            hold_budget = 2;
+            sup_seed = 19;
+          };
+      abort_at = None;
+    }
+  in
+  let r = Oracle.run_fleet ~domains:1 [ case ] in
+  check_bool "wedged case is not clean" false (Oracle.fleet_clean r);
+  List.iter
+    (fun (l : Oracle.fleet_lane) ->
+      Alcotest.(check string) (l.kind ^ " held at round 0") "held@0" l.verdict)
+    (List.concat_map snd r.Oracle.cases);
+  check_bool "a divergence names the case and the wedge" true
+    (List.exists
+       (fun (d : Oracle.divergence) ->
+         String.starts_with ~prefix:"case 0 (seed 19): rollout wedged" d.detail)
+       r.Oracle.fleet_findings)
+
+(* The model check behind every settled lane: a fleet that never ran
+   the plan is on the pre-rollout policy, not the new one. *)
+let test_fleet_converged_model () =
+  let sc, plan = scenario_plan ~batch:4 ~seed:5 Tree 7 in
+  let fleet = Net.of_policy ~domains:1 sc.topo sc.old_policy in
+  (match Oracle.fleet_converged plan fleet Net.Completed with
+  | Ok _ -> Alcotest.fail "an unrolled fleet passed as the new policy"
+  | Error why ->
+      Alcotest.(check string)
+        "tables and stamps named"
+        "final tables and stamps differ from the new policy model" why);
+  (match
+     Oracle.fleet_converged plan fleet
+       (Net.Aborted { at_round = 0; rolled_back = 0 })
+   with
+  | Ok target -> Alcotest.(check string) "target" "pre-rollout policy" target
+  | Error why -> Alcotest.failf "pre-rollout fleet rejected: %s" why);
+  let _ = Net.execute fleet plan in
+  match Oracle.fleet_converged plan fleet Net.Completed with
+  | Ok target -> Alcotest.(check string) "target" "new policy" target
+  | Error why -> Alcotest.failf "rolled-out fleet rejected: %s" why
 
 (* --- bench row round-trip ---------------------------------------------- *)
 
@@ -962,11 +1024,15 @@ let suite =
       ] );
     ( "net-oracle",
       [
-        Alcotest.test_case "line/ring/tree clean" `Quick test_run_net_fixtures;
+        Alcotest.test_case "line/ring/tree clean" `Quick test_run_fleet_fixtures;
         Alcotest.test_case "chaos: 10 seeded schedules clean" `Quick
-          test_run_net_chaos_small;
+          test_run_fleet_chaos_small;
         Alcotest.test_case "chaos: fingerprint domains-invariant" `Quick
           test_chaos_fingerprint_domains_invariant;
+        Alcotest.test_case "wedged case is reported" `Quick
+          test_run_fleet_reports_wedge;
+        Alcotest.test_case "model check tells old from new" `Quick
+          test_fleet_converged_model;
       ] );
     ( "net-bench",
       [
