@@ -330,7 +330,6 @@ let micro () =
     Min_tree.set mt i (Rng.int rng 64)
   done;
   let arr = Min_tree.to_array mt in
-  let fs = Fenwick_sum.create n in
   (* A mid-size synthetic table for metric/scheduler micro-costs. *)
   let table = Experiment.table_cached Dataset.FW5 ~seed ~n:2_000 in
   let tcam2 =
@@ -355,10 +354,6 @@ let micro () =
                  if arr.(i) < !best then best := arr.(i)
                done;
                ignore !best));
-        Test.make ~name:"fenwick_sum.add"
-          (Staged.stage (fun () ->
-               incr counter;
-               Fenwick_sum.add fs (!counter * 53 mod n) 1));
         Test.make ~name:"metric chain walk (c_avg)"
           (Staged.stage (fun () ->
                incr counter;

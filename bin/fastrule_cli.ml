@@ -85,7 +85,8 @@ let stats_cmd =
     let graph = Dag_build.compile rules in
     let s = Dag_stats.compute graph in
     Format.printf "%s n=%d: %a@." name (Array.length rules) Fr_dag.Stats.pp s;
-    Format.printf "priority levels needed (DAG height): %d@." (Levels.height graph)
+    Format.printf "priority levels needed (DAG height): %d@."
+      (Topo.longest_path_nodes graph)
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Table and dependency-graph statistics (Table II).")
@@ -179,30 +180,6 @@ let run_cmd =
     Term.(
       const run $ kind_arg $ n_arg $ seed_arg $ updates_arg $ deletes_arg
       $ algos_arg $ csv_arg)
-
-(* --- hw -------------------------------------------------------------- *)
-
-let hw_cmd =
-  let run n seed =
-    let table = Dataset.build_table Dataset.ACL4 ~seed ~n in
-    let emu = Hw_emu.create ~logical_size:(2 * n) () in
-    Array.iteri
-      (fun i id -> Hw_emu.add_entry emu ~rule_id:id ~addr:i)
-      table.Dataset.order;
-    Format.printf
-      "Loaded %d entries into a logical table of %d slots through a %d-entry \
-       hardware TCAM (modulo addressing).@."
-      n (2 * n) (Hw_emu.hw_size emu);
-    Format.printf "SDK calls: %d, modelled hardware time: %.1f ms@."
-      (Hw_emu.hw_calls emu) (Hw_emu.elapsed_ms emu);
-    match Tcam.check_dag_order (Hw_emu.logical emu) table.Dataset.graph with
-    | Ok () -> Format.printf "Shadow-table dependency order: OK@."
-    | Error e -> Format.printf "Shadow-table dependency order violated: %s@." e
-  in
-  Cmd.v
-    (Cmd.info "hw"
-       ~doc:"Demonstrate the ONetSwitch-style large-table emulation (SVI.1).")
-    Term.(const run $ n_arg $ seed_arg)
 
 (* --- ctrl ------------------------------------------------------------ *)
 
@@ -1514,20 +1491,6 @@ let net_cmd =
         ("total_mods", J.Int (Net_plan.total_mods plan));
       ]
     in
-    if oracle then
-      oracle_run ~what:"net results"
-        (params @ [ ("mode", J.Str "oracle") ])
-        [ { Oracle.plan; faults = []; supervision = None; abort_at = None } ];
-    (* pure-model pre-check: the planner's output is certified before a
-       single flow-mod reaches a service *)
-    if not no_check then begin
-      match Net_check.check_plan ~samples ~seed plan with
-      | Ok () -> ()
-      | Error vs ->
-          List.iter (fun v -> Format.eprintf "  INCONSISTENT: %s@." v) vs;
-          bad "plan failed the transient-path check (%d violations)"
-            (List.length vs)
-    end;
     let supervision =
       if faults = [] && hold = None then None
       else
@@ -1540,6 +1503,20 @@ let net_cmd =
             sup_seed = seed;
           }
     in
+    if oracle then
+      oracle_run ~what:"net results"
+        (params @ [ ("mode", J.Str "oracle") ])
+        [ { Oracle.plan; faults; supervision; abort_at } ];
+    (* pure-model pre-check: the planner's output is certified before a
+       single flow-mod reaches a service *)
+    if not no_check then begin
+      match Net_check.check_plan ~samples ~seed plan with
+      | Ok () -> ()
+      | Error vs ->
+          List.iter (fun v -> Format.eprintf "  INCONSISTENT: %s@." v) vs;
+          bad "plan failed the transient-path check (%d violations)"
+            (List.length vs)
+    end;
     let fleet, report =
       try
         let fleet =
@@ -1678,7 +1655,10 @@ let net_cmd =
       & info [ "oracle" ]
           ~doc:"Transient-path sweep: roll the same plan out under every \
                 scheduler, probing consistency and waypoints at every round \
-                boundary and mid-flush instant; exit 1 on any divergence.")
+                boundary and mid-flush instant; exit 1 on any divergence. \
+                Honours $(b,--node-fault), $(b,--hold), $(b,--deadline) and \
+                $(b,--abort-at): a run that wedges or fails to converge \
+                diverges.")
   in
   let chaos_arg =
     Arg.(
@@ -1780,7 +1760,6 @@ let () =
             stats_cmd;
             generate_cmd;
             run_cmd;
-            hw_cmd;
             ctrl_cmd;
             journal_cmd;
             conform_cmd;

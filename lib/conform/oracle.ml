@@ -1167,8 +1167,7 @@ let chaos_cases ?(shards = 2) ?(capacity = 64) ~seed n =
          faults whichever scheduler's movement count is under it. *)
       let supervision =
         {
-          Net_fleet.default_supervision with
-          deadline_ms = 50.0;
+          Net_fleet.deadline_ms = 50.0;
           retries = 1;
           breaker_threshold = 2;
           breaker_slow_threshold = 2;

@@ -36,13 +36,10 @@ module Topo = Fr_dag.Topo
 module Dag_build = Fr_dag.Build
 module Dag_stats = Fr_dag.Stats
 module Overlap_index = Fr_dag.Overlap_index
-module Levels = Fr_dag.Levels
 
 (** {1 Data structures (§IV.E)} *)
 
-module Fenwick_sum = Fr_bitree.Fenwick_sum
 module Min_tree = Fr_bitree.Min_tree
-module Segment_tree = Fr_bitree.Segment_tree
 
 (** {1 The TCAM} *)
 
@@ -51,7 +48,6 @@ module Tcam = Fr_tcam.Tcam
 module Image = Fr_tcam.Image
 module Layout = Fr_tcam.Layout
 module Latency = Fr_tcam.Latency
-module Hw_emu = Fr_tcam.Hw_emu
 module Defrag = Fr_tcam.Defrag
 module Fault = Fr_tcam.Fault
 module Deadmap = Fr_tcam.Deadmap

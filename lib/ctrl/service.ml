@@ -12,40 +12,35 @@ module Rng = Fr_prng.Rng
 
 type resil = {
   retry_budget : int;
-  backoff_base_ms : float;
-  backoff_factor : float;
-  backoff_max_ms : float;
-  backoff_jitter : float;
   breaker_threshold : int;
   breaker_slow_threshold : int;
   slow_drain_ms : float;
   slow_factor : float;
   breaker_cooldown : int;
   queue_bound : int;
-  checkpoint_every : int;
-  checkpoint_retain : int;
   failover : bool;
-  rebalance_batch : int;
 }
 
 let default_resil =
   {
     retry_budget = 2;
-    backoff_base_ms = 1.0;
-    backoff_factor = 2.0;
-    backoff_max_ms = 64.0;
-    backoff_jitter = 0.2;
     breaker_threshold = 3;
     breaker_slow_threshold = 3;
     slow_drain_ms = infinity;
     slow_factor = 0.0;
     breaker_cooldown = 2;
     queue_bound = 1024;
-    checkpoint_every = 32;
-    checkpoint_retain = 1;
     failover = false;
-    rebalance_batch = 64;
   }
+
+(* Fixed policy: a shard checkpoints every [checkpoint_every] commits
+   (or after any dirty drain) and keeps [checkpoint_retain] checkpoint
+   tables; the rebalance pass migrates at most [rebalance_batch] diverted
+   ids home per flush.  Retry backoff is {!Backoff.create}'s own default
+   schedule. *)
+let checkpoint_every = 32
+let checkpoint_retain = 1
+let rebalance_batch = 64
 
 type t = {
   partition : Partition.t;
@@ -113,10 +108,7 @@ let make_supervision resil ~shards =
   done;
   let backoffs =
     Array.map
-      (fun rng ->
-        Backoff.create ~base_ms:resil.backoff_base_ms
-          ~factor:resil.backoff_factor ~max_ms:resil.backoff_max_ms
-          ~jitter:resil.backoff_jitter ~rng ~seed:0 ())
+      (fun rng -> Backoff.create ~rng ~seed:0 ())
       streams
   in
   (breakers, backoffs)
@@ -496,7 +488,7 @@ let checkpoint_shard t i =
   match t.journals with
   | None -> ()
   | Some js ->
-      Journal.checkpoint ~retain:t.resil.checkpoint_retain js.(i)
+      Journal.checkpoint ~retain:checkpoint_retain js.(i)
         ~rules:(Array.of_list (Agent.rules (Shard.agent t.shards.(i))));
       Telemetry.record_checkpoint (Shard.telemetry t.shards.(i));
       t.commits_since_ckpt.(i) <- 0
@@ -602,7 +594,7 @@ let drain_supervised t i =
         List.exists (fun (_, e) -> is_dirty_failure e) final.Shard.failed
       in
       t.commits_since_ckpt.(i) <- t.commits_since_ckpt.(i) + 1;
-      if dirty || t.commits_since_ckpt.(i) >= t.resil.checkpoint_every then
+      if dirty || t.commits_since_ckpt.(i) >= checkpoint_every then
         checkpoint_shard t i
       else
         Journal.log_commit js.(i) ~drain ~applied:final.Shard.applied
@@ -647,7 +639,7 @@ let rebalance t =
                    && not (Shard.has_pending_id t.shards.(home) id)
                  then Some (id, s, home, r)
                  else None)
-      |> take t.resil.rebalance_batch
+      |> take rebalance_batch
     in
     if candidates = [] then []
     else begin

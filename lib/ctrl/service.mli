@@ -57,10 +57,6 @@
 
 type resil = {
   retry_budget : int;  (** retry rounds per shard per flush *)
-  backoff_base_ms : float;
-  backoff_factor : float;
-  backoff_max_ms : float;
-  backoff_jitter : float;
   breaker_threshold : int;  (** consecutive damaged drains that trip *)
   breaker_slow_threshold : int;
       (** consecutive slow drains that trip (only active when
@@ -79,22 +75,22 @@ type resil = {
           [slow_drain_ms] is finite *)
   breaker_cooldown : int;  (** flush rounds quarantined before probing *)
   queue_bound : int;  (** max queued entries behind an open breaker *)
-  checkpoint_every : int;  (** commits between periodic checkpoints *)
-  checkpoint_retain : int;  (** checkpoint tables kept per shard (>= 1) *)
   failover : bool;
       (** divert new rule ids away from quarantined shards (and drain
           them back home on recovery) instead of queueing/shedding *)
-  rebalance_batch : int;
-      (** max diverted ids migrated home per flush once the home heals *)
 }
 
 val default_resil : resil
-(** [retry_budget = 2], backoff 1 ms doubling to 64 ms with ±20% jitter,
-    breaker trips after 3 damaged drains (slow-call policy disabled:
-    [slow_drain_ms = infinity], [slow_factor = 0.0],
+(** [retry_budget = 2], breaker trips after 3 damaged drains (slow-call
+    policy disabled: [slow_drain_ms = infinity], [slow_factor = 0.0],
     [breaker_slow_threshold = 3] once enabled) and cools down for 2
-    flushes, [queue_bound = 1024], checkpoint every 32 commits keeping 1
-    table, failover routing off, [rebalance_batch = 64]. *)
+    flushes, [queue_bound = 1024], failover routing off.
+
+    Fixed, not configurable: retry backoff is {!Fr_resil.Backoff}'s
+    default (1 ms doubling to 64 ms with ±20% jitter); a journaled shard
+    checkpoints every 32 commits (and after any dirty drain) keeping 1
+    table; the rebalance pass migrates at most 64 diverted ids home per
+    flush. *)
 
 type t
 
@@ -185,8 +181,8 @@ val journaled : t -> bool
 val diverted_count : t -> int
 (** Rule ids currently living away from their static home under failover
     routing.  Converges back to 0 after the sick shard heals (the
-    rebalance pass drains them home in [rebalance_batch]-bounded
-    batches). *)
+    rebalance pass drains them home in batches of at most 64 per
+    flush). *)
 
 val dead_rows : t -> int
 (** Total rows condemned by the shards' dead maps

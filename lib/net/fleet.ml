@@ -301,10 +301,6 @@ type hold = Wait | Abort
 type supervision = {
   deadline_ms : float;
   retries : int;
-  backoff_base_ms : float;
-  backoff_factor : float;
-  backoff_max_ms : float;
-  backoff_jitter : float;
   breaker_threshold : int;
   breaker_slow_threshold : int;
   breaker_cooldown : int;
@@ -317,10 +313,6 @@ let default_supervision =
   {
     deadline_ms = infinity;
     retries = 2;
-    backoff_base_ms = 1.0;
-    backoff_factor = 2.0;
-    backoff_max_ms = 64.0;
-    backoff_jitter = 0.2;
     breaker_threshold = 2;
     breaker_slow_threshold = 2;
     breaker_cooldown = 1;
@@ -536,7 +528,8 @@ type sup = {
 exception Abort_requested of int
 exception Parked of int
 
-let make_sup cfg (faults : Scenario.fault_schedule) n =
+let make_sup cfg (faults : Scenario.fault_schedule) services =
+  let n = Array.length services in
   let rng = Rng.create ~seed:cfg.sup_seed in
   (* one split jitter stream per node, node order — independent of both
      the fault schedule and the domain count *)
@@ -547,10 +540,7 @@ let make_sup cfg (faults : Scenario.fault_schedule) n =
             Breaker.create ~threshold:cfg.breaker_threshold
               ~slow_threshold:cfg.breaker_slow_threshold
               ~cooldown:cfg.breaker_cooldown ();
-          backoff =
-            Backoff.create ~base_ms:cfg.backoff_base_ms
-              ~factor:cfg.backoff_factor ~max_ms:cfg.backoff_max_ms
-              ~jitter:cfg.backoff_jitter ~rng:(Rng.split rng) ~seed:0 ();
+          backoff = Backoff.create ~rng:(Rng.split rng) ~seed:0 ();
           crash_pending = None;
           slow_sched = [];
           stuck_sched = [];
@@ -574,6 +564,28 @@ let make_sup cfg (faults : Scenario.fault_schedule) n =
           | Scenario.Slow_from { round; slow_ms; heal_after } ->
               ns.slow_sched <- ns.slow_sched @ [ (round, slow_ms, heal_after) ]
           | Scenario.Stuck_bank { round; shard; rows } ->
+              (* a bank the switch does not have would never engage:
+                 the run would certify nothing *)
+              let svc = services.(node) in
+              let shards = Service.shards svc in
+              if shard >= shards then
+                invalid_arg
+                  (Printf.sprintf
+                     "Fleet.execute: node %d stuck fault names shard %d, but \
+                      the switch has %d shards"
+                     node shard shards);
+              let rows_per_shard =
+                Agent.capacity (Shard.agent (Service.shard svc shard))
+              in
+              List.iter
+                (fun row ->
+                  if row >= rows_per_shard then
+                    invalid_arg
+                      (Printf.sprintf
+                         "Fleet.execute: node %d stuck fault names row %d of \
+                          shard %d, but a shard has %d rows"
+                         node row shard rows_per_shard))
+                rows;
               ns.stuck_sched <- ns.stuck_sched @ [ (round, shard, rows) ])
         fs)
     faults;
@@ -947,8 +959,7 @@ let execute ?probe ?stop_after_rounds ?stop_in_rollback
         Some
           (make_sup
              (Option.value cfg ~default:default_supervision)
-             fs
-             (Array.length t.services))
+             fs t.services)
   in
   open_rollout t plan;
   let rounds = Plan.rounds plan in

@@ -119,10 +119,6 @@ type supervision = {
           drain [hardware_ms] plus any active ack penalty); [infinity]
           disables timeouts *)
   retries : int;  (** extra attempts per node per supervision pass *)
-  backoff_base_ms : float;
-  backoff_factor : float;
-  backoff_max_ms : float;
-  backoff_jitter : float;
   breaker_threshold : int;  (** consecutive hard failures to quarantine *)
   breaker_slow_threshold : int;  (** consecutive timeouts to quarantine *)
   breaker_cooldown : int;  (** skipped passes before a half-open probe *)
@@ -132,8 +128,9 @@ type supervision = {
 }
 
 val default_supervision : supervision
-(** No deadline, 2 retries, 1→64 ms backoff (factor 2, jitter 0.2),
-    breaker 2/2 with cooldown 1, [Wait] after 16 passes, seed 97. *)
+(** No deadline, 2 retries, breaker 2/2 with cooldown 1, [Wait] after 16
+    passes, seed 97.  Retry backoff is always {!Fr_resil.Backoff}'s
+    default (1→64 ms, factor 2, jitter 0.2). *)
 
 type outcome =
   | Completed
@@ -197,7 +194,8 @@ val execute :
     exit, including [Held] and [Aborted], crashed {e nodes} have been
     re-adopted and the fleet remains usable.
     @raise Invalid_argument if the plan was built for a different
-    topology, a crash is requested without a journal, both
+    topology, a crash is requested without a journal, a stuck fault
+    names a shard or row the node does not have, both
     [stop_after_rounds] and [abort_after_rounds] are given, or the
     fleet has already crashed. *)
 

@@ -1,22 +1,19 @@
 module Tcam = Fr_tcam.Tcam
 module Min_tree = Fr_bitree.Min_tree
-module Segment_tree = Fr_bitree.Segment_tree
 
-type backend = On_demand | Array_backend | Bit_backend | Seg_backend
+type backend = On_demand | Array_backend | Bit_backend
 
 let backend_to_string = function
   | On_demand -> "on-demand"
   | Array_backend -> "array"
   | Bit_backend -> "bit"
-  | Seg_backend -> "segtree"
 
-let all_backends = [ On_demand; Array_backend; Bit_backend; Seg_backend ]
+let all_backends = [ On_demand; Array_backend; Bit_backend ]
 
 type repr =
   | Demand
   | Arr of int array
   | Bit of Min_tree.t  (* indices mirrored for Dir.Up, see below *)
-  | Seg of Segment_tree.t  (* same mirroring *)
 
 type t = {
   backend : backend;
@@ -55,7 +52,6 @@ let stored_get t addr =
   | Demand -> compute t addr
   | Arr m -> m.(addr)
   | Bit mt -> Min_tree.get mt (to_internal t addr)
-  | Seg st -> Segment_tree.get st (to_internal t addr)
 
 let get t addr =
   if Tcam.is_dead t.tcam addr then dead_metric else stored_get t addr
@@ -65,12 +61,11 @@ let stored_set t addr v =
   | Demand -> ()
   | Arr m -> m.(addr) <- v
   | Bit mt -> Min_tree.set mt (to_internal t addr) v
-  | Seg st -> Segment_tree.set st (to_internal t addr) v
 
 let rebuild t =
   match t.repr with
   | Demand -> ()
-  | Arr _ | Bit _ | Seg _ ->
+  | Arr _ | Bit _ ->
       for a = 0 to size t - 1 do
         stored_set t a (compute t a)
       done
@@ -81,7 +76,6 @@ let create ~backend ~dir graph tcam =
     | On_demand -> Demand
     | Array_backend -> Arr (Array.make (Tcam.size tcam) 0)
     | Bit_backend -> Bit (Min_tree.create (Tcam.size tcam) ~init:0)
-    | Seg_backend -> Seg (Segment_tree.create (Tcam.size tcam) ~init:0)
   in
   let t = { backend; dir; graph; tcam; repr } in
   rebuild t;
@@ -121,16 +115,6 @@ let raw_min_in t ~lo ~hi =
         | None -> None
         | Some (ia, v) -> Some (of_internal t ia, v)
       end
-  | Seg st ->
-      let lo = max 0 lo and hi = min (size t - 1) hi in
-      if lo > hi then None
-      else begin
-        let ilo = min (to_internal t lo) (to_internal t hi)
-        and ihi = max (to_internal t lo) (to_internal t hi) in
-        match Segment_tree.min_in st ~lo:ilo ~hi:ihi with
-        | None -> None
-        | Some (ia, v) -> Some (of_internal t ia, v)
-      end
 
 (* Stored backends can hold a stale (pre-discovery) value for a row that
    has since been declared dead: a failed op never refreshes its target.
@@ -151,7 +135,7 @@ let rec min_in t ~lo ~hi =
 let refresh t ~addrs ~ids =
   match t.repr with
   | Demand -> ()
-  | Arr _ | Bit _ | Seg _ ->
+  | Arr _ | Bit _ ->
       let pending : (int, unit) Hashtbl.t = Hashtbl.create 16 in
       let queue = Queue.create () in
       let enqueue_id id =

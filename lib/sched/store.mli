@@ -25,10 +25,6 @@ type backend =
   | On_demand
   | Array_backend
   | Bit_backend
-  | Seg_backend
-      (** our extension: a segment tree with O(log n) point assignment
-          (vs the BIT's O((log n)^2)) — see {!Fr_bitree.Segment_tree} and
-          the ablation bench *)
 
 val backend_to_string : backend -> string
 val all_backends : backend list

@@ -9,7 +9,7 @@
     calls / bus errors).  Decisions are drawn from a dedicated seeded
     {!Fr_prng.Rng.t}, so a faulty run replays exactly.
 
-    Consumers ({!Hw_emu}, [Fr_switch.Agent]) ask {!should_fail} before
+    The consumer ([Fr_switch.Agent]) asks {!should_fail} before
     each raw operation and leave the hardware untouched when it answers
     [true]; the plan counts every injected failure so tests can assert
     how much damage was actually dealt. *)

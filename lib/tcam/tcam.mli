@@ -95,7 +95,7 @@ val check_dag_order : t -> Fr_dag.Graph.t -> (unit, string) result
 val deadmap : t -> Deadmap.t
 (** The attached dead-row map.  {!write} reports successes to it
     automatically; failures never reach the [Tcam], so the fault-aware
-    drivers ([Hw_emu], [Fr_switch.Agent]) report them via
+    driver ([Fr_switch.Agent]) reports them via
     {!note_write_failure}. *)
 
 val is_dead : t -> int -> bool

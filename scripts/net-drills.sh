@@ -3,8 +3,9 @@
 # four drain domains; a journaled rollout whose journal tree must be
 # byte-identical under --domains 1 and 4; the seeded chaos certification,
 # whose fingerprint must not depend on the domain count; the abort drill,
-# whose post-rollback checkpoints must equal the pre-rollout ones; and
-# the usage errors (exit 2).  Run through the alias, which builds the CLI
+# whose post-rollback checkpoints must equal the pre-rollout ones; the
+# oracle under a wedging fault (exit 1); and the usage errors (exit 2),
+# among them stuck faults on a shard or row the switch does not have.  Run through the alias, which builds the CLI
 # first:
 #
 #   dune build @net-drills
@@ -72,15 +73,32 @@ cat "$TMP"/abort-2/node-*/shard-*-ckpt-*.rules | sort > "$TMP/post.rules"
 cmp "$TMP/pre.rules" "$TMP/post.rules" \
   || fail "abort drill: post-rollback checkpoint differs from pre-rollout"
 
-# A policy the switches cannot hold is a usage error, in every mode.
-echo "== usage errors exit 2 =="
-usage() {
+expect_exit() {
+  want=$1
+  shift
   status=0
   "$CLI" net "$@" >/dev/null 2>&1 || status=$?
-  [ "$status" -eq 2 ] || fail "net $*: expected exit 2, got $status"
+  [ "$status" -eq "$want" ] || fail "net $*: expected exit $want, got $status"
 }
-usage --flows 40 --nodes 3 --capacity 4
-usage --flows 40 --nodes 3 --capacity 4 --oracle
-usage --chaos --cases 3 --capacity 2
+
+# The oracle honours the run's faults and supervision: a node that never
+# stops acking late wedges the rollout under --hold wait, with and
+# without --oracle.
+echo "== wedged rollout exits 1 (with and without --oracle) =="
+for mode in "" --oracle; do
+  expect_exit 1 $mode --shape ring --nodes 5 --seed 7 --batch 2 \
+    --node-fault 1:slow@0=500x1000000 --hold wait
+done
+
+# A policy the switches cannot hold is a usage error, in every mode; so
+# is a stuck fault that can never engage (shard 9 of 2, row 999999 of 64).
+echo "== usage errors exit 2 =="
+expect_exit 2 --flows 40 --nodes 3 --capacity 4
+expect_exit 2 --flows 40 --nodes 3 --capacity 4 --oracle
+expect_exit 2 --chaos --cases 3 --capacity 2
+for mode in "" --oracle; do
+  expect_exit 2 $mode --nodes 3 --flows 3 --node-fault 0:stuck@1=9:1+2
+  expect_exit 2 $mode --nodes 3 --flows 3 --node-fault 0:stuck@0=0:1+999999
+done
 
 echo "net-drills: OK"

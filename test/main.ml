@@ -6,8 +6,8 @@ let () =
     (Test_prng.suite @ Test_ternary.suite @ Test_header.suite @ Test_rule.suite
    @ Test_range.suite
    @ Test_graph.suite @ Test_topo.suite @ Test_build.suite @ Test_stats.suite
-   @ Test_levels.suite @ Test_overlap_index.suite @ Test_bitree.suite @ Test_tcam.suite @ Test_layout.suite
-   @ Test_latency.suite @ Test_hw_emu.suite @ Test_defrag.suite @ Test_algo.suite @ Test_dir.suite @ Test_metric.suite
+   @ Test_overlap_index.suite @ Test_bitree.suite @ Test_tcam.suite @ Test_layout.suite
+   @ Test_latency.suite @ Test_defrag.suite @ Test_algo.suite @ Test_dir.suite @ Test_metric.suite
    @ Test_store.suite @ Test_check.suite @ Test_naive.suite @ Test_ruletris.suite
    @ Test_fastrule.suite @ Test_separated.suite @ Test_workload.suite
    @ Test_updates.suite @ Test_rules_io.suite @ Test_measure.suite

@@ -165,7 +165,7 @@ let test_random_mod_stream_semantics () =
       check
         (Firmware.algo_kind_name kind ^ ": final lookup = spec")
         true (lookups_agree rng agent))
-    [ Firmware.FR_O Store.Bit_backend; Firmware.FR_SB Store.Seg_backend ]
+    [ Firmware.FR_O Store.Bit_backend; Firmware.FR_SB Store.Array_backend ]
 
 let test_flow_counters () =
   let rules = small_policy () in

@@ -491,6 +491,31 @@ let test_supervised_slow_node_retries () =
       (Net.rules fleet node = Net.rules twin node)
   done
 
+let test_stuck_fault_outside_switch_rejected () =
+  (* A stuck bank on a shard or row the switch does not have would never
+     engage; the rollout must refuse it instead of certifying nothing.
+     [of_policy]'s defaults give each node 2 shards of 64 rows. *)
+  let sc, plan = scenario_plan ~seed:19 Ring 5 in
+  let run ~shard ~rows =
+    let fleet = Net.of_policy ~domains:1 sc.topo sc.old_policy in
+    let faults =
+      Net_scenario.schedule_of_faults
+        [ (0, Net_scenario.Stuck_bank { round = 0; shard; rows }) ]
+    in
+    Net.execute ~faults fleet plan
+  in
+  Alcotest.check_raises "shard past the switch"
+    (Invalid_argument
+       "Fleet.execute: node 0 stuck fault names shard 9, but the switch has \
+        2 shards") (fun () -> ignore (run ~shard:9 ~rows:[ 1; 2 ]));
+  Alcotest.check_raises "row past the shard"
+    (Invalid_argument
+       "Fleet.execute: node 0 stuck fault names row 64 of shard 1, but a \
+        shard has 64 rows") (fun () -> ignore (run ~shard:1 ~rows:[ 3; 64 ]));
+  let report = run ~shard:1 ~rows:[ 0; 63 ] in
+  check_bool "the last row of the last shard is accepted" true
+    report.Net.completed
+
 let test_node_crash_readopted_mid_rollout () =
   let sc, plan = scenario_plan ~batch:2 ~seed:23 Tree 7 in
   let dir = Journal.fresh_dir ~prefix:"fr-test-netfault" in
@@ -1015,6 +1040,8 @@ let suite =
           test_fault_codec_roundtrip;
         Alcotest.test_case "slow node retried to completion" `Quick
           test_supervised_slow_node_retries;
+        Alcotest.test_case "stuck fault past the switch" `Quick
+          test_stuck_fault_outside_switch_rejected;
         Alcotest.test_case "crashed node re-adopted mid-rollout" `Quick
           test_node_crash_readopted_mid_rollout;
         Alcotest.test_case "abort rolls back to pre-rollout" `Quick

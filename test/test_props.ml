@@ -130,7 +130,7 @@ let prop_closure_covers_across_churn =
       done;
       !ok)
 
-(* --- fenwick min-tree --------------------------------------------------- *)
+(* --- min-tree ------------------------------------------------------------ *)
 
 let prop_min_tree_vs_naive =
   QCheck.Test.make ~name:"min-tree equals naive scan" ~count:200

@@ -50,6 +50,18 @@ let test_components_listing () =
   let sizes = List.sort Int.compare (List.map List.length comps) in
   Alcotest.(check (list int)) "sizes" [ 1; 2 ] sizes
 
+let test_c_max_is_longest_path () =
+  (* The priority levels a table needs (the CLI's "DAG height") are the
+     nodes on its longest dependency chain, which is c_max. *)
+  List.iter
+    (fun kind ->
+      let table = Dataset.build_table kind ~seed:17 ~n:300 in
+      check_int
+        (Dataset.to_string kind ^ " c_max")
+        (Topo.longest_path_nodes table.Dataset.graph)
+        (Dataset.stats table).Dag_stats.c_max)
+    Dataset.all
+
 let suite =
   [
     ( "stats",
@@ -60,5 +72,7 @@ let suite =
         Alcotest.test_case "star diameter" `Quick test_star_diameter;
         Alcotest.test_case "weak connectivity" `Quick test_weak_connectivity;
         Alcotest.test_case "components listing" `Quick test_components_listing;
+        Alcotest.test_case "c_max = longest path" `Quick
+          test_c_max_is_longest_path;
       ] );
   ]
