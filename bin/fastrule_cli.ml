@@ -70,8 +70,34 @@ let file_arg =
 
 (* --- stats ----------------------------------------------------------- *)
 
+(* Every edge as "u v", sorted: one digest that says two compilers built
+   the same graph. *)
+let edge_digest graph =
+  let edges = ref [] in
+  Graph.iter_nodes graph (fun u ->
+      List.iter (fun v -> edges := (u, v) :: !edges) (Graph.deps graph u));
+  let b = Buffer.create (16 * Graph.n_edges graph) in
+  List.iter
+    (fun (u, v) -> Buffer.add_string b (Printf.sprintf "%d %d\n" u v))
+    (List.sort compare !edges);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Mean candidates and true overlaps per query, other than the query
+   itself, with every rule indexed. *)
+let candidate_means rules =
+  let idx = Overlap_index.create () in
+  Array.iter (Overlap_index.add idx) rules;
+  let cands = ref 0 and hits = ref 0 in
+  Array.iter
+    (fun q ->
+      cands := !cands + Overlap_index.candidate_count idx q;
+      Overlap_index.iter_overlapping idx q (fun _ -> incr hits))
+    rules;
+  let n = float_of_int (max 1 (Array.length rules)) in
+  (float_of_int !cands /. n, float_of_int !hits /. n)
+
 let stats_cmd =
-  let run kind n seed file =
+  let run kind n seed file max_ratio =
     let name, rules =
       match file with
       | Some path -> (
@@ -82,15 +108,37 @@ let stats_cmd =
               exit 1)
       | None -> (Dataset.to_string kind, Dataset.generate kind ~seed ~n)
     in
-    let graph = Dag_build.compile rules in
+    (* Collect the generator's garbage first, so the time is the
+       compile's alone. *)
+    Gc.full_major ();
+    let graph, compile_ms =
+      Measure.time_ms (fun () -> Dag_build.compile_fast rules)
+    in
     let s = Dag_stats.compute graph in
     Format.printf "%s n=%d: %a@." name (Array.length rules) Fr_dag.Stats.pp s;
     Format.printf "priority levels needed (DAG height): %d@."
-      (Topo.longest_path_nodes graph)
+      (Topo.longest_path_nodes graph);
+    Format.printf "edges: %d  md5: %s@." (Graph.n_edges graph) (edge_digest graph);
+    Format.printf "compile_fast wall: %.3f s (volatile)@." (compile_ms /. 1000.0);
+    let c, o = candidate_means rules in
+    Format.printf "overlap index per query: %.2f candidates, %.2f overlaps@." c o;
+    match max_ratio with
+    | Some r when c > r *. o ->
+        Format.printf "FAIL: candidates exceed %g x overlaps@." r;
+        exit 1
+    | _ -> ()
+  in
+  let max_ratio =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "max-candidate-ratio" ] ~docv:"R"
+          ~doc:"Exit 1 when the overlap index's mean candidates per query \
+                exceed $(docv) times the mean true overlaps.")
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Table and dependency-graph statistics (Table II).")
-    Term.(const run $ kind_arg $ n_arg $ seed_arg $ file_arg)
+    Term.(const run $ kind_arg $ n_arg $ seed_arg $ file_arg $ max_ratio)
 
 (* --- generate -------------------------------------------------------- *)
 

@@ -36,7 +36,7 @@ let default_resil =
 (* Fixed policy: a shard checkpoints every [checkpoint_every] commits
    (or after any dirty drain) and keeps [checkpoint_retain] checkpoint
    tables; the rebalance pass migrates at most [rebalance_batch] diverted
-   ids home per flush.  Retry backoff is {!Backoff.create}'s own default
+   ids home per flush.  Retry backoff is {!Backoff}'s fixed
    schedule. *)
 let checkpoint_every = 32
 let checkpoint_retain = 1

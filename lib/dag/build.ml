@@ -43,13 +43,22 @@ let maximal_sources g s =
   Id_set.iter mark_ancestors s;
   Id_set.diff s !covered
 
+(* Positions of [rules], highest precedence first ({!beats} order), sorted
+   on flat int keys rather than through the rule records. *)
+let by_precedence rules =
+  let pri = Array.map (fun (r : Rule.t) -> r.Rule.priority) rules in
+  let ids = Array.map (fun (r : Rule.t) -> r.Rule.id) rules in
+  let order = Array.init (Array.length rules) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      let c = Int.compare pri.(j) pri.(i) in
+      if c <> 0 then c else Int.compare ids.(i) ids.(j))
+    order;
+  order
+
 let compile rules =
   let n = Array.length rules in
-  let order = Array.init n (fun i -> i) in
-  (* Highest precedence first. *)
-  Array.sort
-    (fun i j -> if beats rules.(i) rules.(j) then -1 else if beats rules.(j) rules.(i) then 1 else 0)
-    order;
+  let order = by_precedence rules in
   let g = Graph.create ~initial_capacity:(2 * n) () in
   Array.iter (fun i -> Graph.add_node g rules.(i).Rule.id) order;
   (* The pairwise overlap test runs n^2/2 times; work on the raw chunk
@@ -89,26 +98,21 @@ let compile rules =
   done;
   g
 
-let compile_fast rules =
+let compile_fast ?(index = Overlap_index.create ()) rules =
+  if Overlap_index.length index > 0 then
+    invalid_arg "Build.compile_fast: index must start empty";
   let n = Array.length rules in
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j -> if beats rules.(i) rules.(j) then -1 else if beats rules.(j) rules.(i) then 1 else 0)
-    order;
+  let order = by_precedence rules in
   let g = Graph.create ~initial_capacity:(2 * n) () in
   Array.iter (fun i -> Graph.add_node g rules.(i).Rule.id) order;
-  let index = Overlap_index.create () in
   Array.iter
     (fun i ->
       let r = rules.(i) in
       (* Everything indexed so far has higher precedence. *)
-      let candidates =
-        List.fold_left
-          (fun acc (s : Rule.t) -> Id_set.add s.Rule.id acc)
-          Id_set.empty
-          (Overlap_index.overlapping index r)
-      in
-      Id_set.iter (fun j -> Graph.add_edge g r.Rule.id j) (minimal_targets g candidates);
+      let candidates = ref Id_set.empty in
+      Overlap_index.iter_overlapping index r (fun s ->
+          candidates := Id_set.add s.Rule.id !candidates);
+      Id_set.iter (fun j -> Graph.add_edge g r.Rule.id j) (minimal_targets g !candidates);
       Overlap_index.add index r)
     order;
   g

@@ -19,10 +19,13 @@ val compile : Fr_tern.Rule.t array -> Graph.t
     filtering (cheap in practice because dependency chains are short).
     Every rule id becomes a node even if isolated. *)
 
-val compile_fast : Fr_tern.Rule.t array -> Graph.t
+val compile_fast : ?index:Overlap_index.t -> Fr_tern.Rule.t array -> Graph.t
 (** Identical result to {!compile} (the test suite asserts edge-for-edge
     equality), with overlap candidates narrowed through
-    {!Overlap_index} — near-linear on destination-clustered tables. *)
+    {!Overlap_index}.  [index], which must be empty, is left holding
+    every rule, so a caller that keeps the table live (the switch agent)
+    does not build a second one.
+    @raise Invalid_argument if [index] is not empty. *)
 
 val dependencies_of :
   Graph.t -> existing:Fr_tern.Rule.t list -> Fr_tern.Rule.t -> int list * int list

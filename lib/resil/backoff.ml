@@ -1,34 +1,21 @@
 module Rng = Fr_prng.Rng
 
-type t = {
-  base_ms : float;
-  factor : float;
-  max_ms : float;
-  jitter : float;
-  rng : Rng.t;
-}
+(* The one retry schedule: 1, 2, 4, ... ms, capped at 64 ms, each delay
+   spread uniformly over +-20% of its nominal value. *)
+let base_ms = 1.0
+let factor = 2.0
+let max_ms = 64.0
+let jitter = 0.2
 
-let create ?(base_ms = 1.0) ?(factor = 2.0) ?(max_ms = 64.0) ?(jitter = 0.2)
-    ?rng ~seed () =
-  if base_ms <= 0.0 || factor <= 0.0 then
-    invalid_arg "Backoff.create: base_ms and factor must be positive";
-  if jitter < 0.0 || jitter > 1.0 then
-    invalid_arg "Backoff.create: jitter must be in [0, 1]";
-  {
-    base_ms;
-    factor;
-    max_ms;
-    jitter;
-    rng = (match rng with Some r -> r | None -> Rng.create ~seed);
-  }
+type t = { rng : Rng.t }
+
+let create ?rng ~seed () =
+  { rng = (match rng with Some r -> r | None -> Rng.create ~seed) }
 
 let delay_ms t ~attempt =
   if attempt < 1 then invalid_arg "Backoff.delay_ms: attempt is 1-based";
   let nominal =
-    Float.min t.max_ms
-      (t.base_ms *. Float.pow t.factor (float_of_int (attempt - 1)))
+    Float.min max_ms (base_ms *. Float.pow factor (float_of_int (attempt - 1)))
   in
-  if t.jitter = 0.0 then nominal
-  else
-    let spread = nominal *. t.jitter in
-    nominal -. spread +. (2.0 *. spread *. Rng.float t.rng)
+  let spread = nominal *. jitter in
+  nominal -. spread +. (2.0 *. spread *. Rng.float t.rng)

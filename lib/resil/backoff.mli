@@ -8,25 +8,15 @@
 
 type t
 
-val create :
-  ?base_ms:float ->
-  ?factor:float ->
-  ?max_ms:float ->
-  ?jitter:float ->
-  ?rng:Fr_prng.Rng.t ->
-  seed:int ->
-  unit ->
-  t
-(** Defaults: [base_ms = 1.0], [factor = 2.0], [max_ms = 64.0],
-    [jitter = 0.2] (each delay is spread uniformly over ±20% of its
-    nominal value).  [rng] injects an already-derived jitter stream (e.g.
-    one {!Fr_prng.Rng.split} per shard) and supersedes [seed] — the way a
-    supervisor owning many backoffs keeps their streams independent
-    instead of threading one generator across all of them.
-    @raise Invalid_argument on a non-positive base/factor or a jitter
-    outside [\[0, 1\]]. *)
+val create : ?rng:Fr_prng.Rng.t -> seed:int -> unit -> t
+(** The schedule is fixed: base 1 ms, factor 2, capped at 64 ms, each
+    delay spread uniformly over ±20% of its nominal value.  [rng] injects
+    an already-derived jitter stream (e.g. one {!Fr_prng.Rng.split} per
+    shard) and supersedes [seed] — the way a supervisor owning many
+    backoffs keeps their streams independent instead of threading one
+    generator across all of them. *)
 
 val delay_ms : t -> attempt:int -> float
 (** Delay before retry [attempt] (1-based):
-    [base * factor^(attempt-1)] capped at [max_ms], jittered.
+    [2^(attempt-1)] ms capped at 64 ms, jittered.
     Advances the jitter PRNG. *)

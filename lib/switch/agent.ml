@@ -102,7 +102,8 @@ let of_rules ?(kind = default_kind) ?scheduler ?(latency = Latency.default)
         invalid_arg (Printf.sprintf "Agent.of_rules: duplicate id %d" r.Rule.id);
       Hashtbl.replace store r.Rule.id r)
     rules;
-  let graph = Build.compile_fast rules in
+  let index = Overlap_index.create () in
+  let graph = Build.compile_fast ~index rules in
   let order = Fr_workload.Dataset.precedence_order rules in
   let layout = Firmware.layout_of kind in
   let tcam =
@@ -113,7 +114,7 @@ let of_rules ?(kind = default_kind) ?scheduler ?(latency = Latency.default)
   let t =
     {
       store;
-      index = Overlap_index.create ();
+      index;
       graph;
       tcam;
       algo = make ~graph ~tcam;
@@ -133,7 +134,6 @@ let of_rules ?(kind = default_kind) ?scheduler ?(latency = Latency.default)
       publish_observer = None;
     }
   in
-  Array.iter (Overlap_index.add t.index) rules;
   install_publisher t;
   t
 

@@ -75,13 +75,17 @@ let simulate rng ~service_ms ~arrival ?queue_capacity ~count () =
     utilisation = (if makespan > 0.0 then !busy /. makespan else 0.0);
   }
 
-let service_times_of_run ?(latency = Fr_tcam.Latency.default) run =
+(* seq_lengths records op counts; with symmetric write/erase cost the
+   hardware time is ops x cost.  (Asymmetric costs would need per-op
+   kinds; the paper's model is symmetric.) *)
+let tcam_times_of_run ?(latency = Fr_tcam.Latency.default) run =
+  Array.map
+    (fun o -> o *. latency.Fr_tcam.Latency.write_ms)
+    (Measure.Series.to_array (Firmware.seq_lengths run))
+
+let service_times_of_run ?latency run =
   let fw = Measure.Series.to_array (Firmware.firmware_times run) in
-  let ops = Measure.Series.to_array (Firmware.seq_lengths run) in
-  (* seq_lengths records op counts; with symmetric write/erase cost the
-     hardware time is ops x cost.  (Asymmetric costs would need per-op
-     kinds; the paper's model is symmetric.) *)
-  Array.map2 (fun f o -> f +. (o *. latency.Fr_tcam.Latency.write_ms)) fw ops
+  Array.map2 ( +. ) fw (tcam_times_of_run ?latency run)
 
 let saturation_rate ~service_ms =
   let s = Measure.summarize service_ms in

@@ -49,6 +49,10 @@ val service_times_of_run : ?latency:Fr_tcam.Latency.t -> Firmware.run -> float a
 (** Per-update service time of a completed run: measured firmware time
     plus the modelled hardware time of that update's op sequence. *)
 
+val tcam_times_of_run : ?latency:Fr_tcam.Latency.t -> Firmware.run -> float array
+(** The modelled hardware time alone of each update: a function of the
+    op sequences, so equal seeds give equal arrays. *)
+
 val saturation_rate : service_ms:float array -> float
 (** Updates per second at 100% utilisation = 1000 / mean service time. *)
 

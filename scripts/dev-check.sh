@@ -34,6 +34,9 @@ dune build @net-drills
 echo "== dune build @plane (lookup-under-update smoke run, storm and TCAM-vs-software drills) =="
 dune build @plane
 
+echo "== dune build @scale (overlap-index candidates within 10x overlaps at 64k rules) =="
+dune build @scale
+
 echo "== perfbench smoke (serve; its backend check fails any wrong lookup) =="
 python3 perfbench/run.py --workload serve --seed 1 --seconds 3 --trace 0 >/dev/null
 

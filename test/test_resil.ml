@@ -155,21 +155,27 @@ let test_meta_roundtrip () =
 (* --- backoff ----------------------------------------------------------- *)
 
 let test_backoff () =
-  let b = Backoff.create ~base_ms:1.0 ~factor:2.0 ~max_ms:8.0 ~jitter:0.25 ~seed:3 () in
-  for attempt = 1 to 6 do
-    let ideal = min 8.0 (2.0 ** float_of_int (attempt - 1)) in
-    let d = Backoff.delay_ms b ~attempt in
-    check "within jitter band" true
-      (d >= ideal *. 0.75 -. 1e-9 && d <= ideal *. 1.25 +. 1e-9)
-  done;
-  (* No jitter: exact exponential, capped. *)
-  let exact = Backoff.create ~base_ms:2.0 ~jitter:0.0 ~max_ms:16.0 ~seed:0 () in
-  check "exact base" true (Backoff.delay_ms exact ~attempt:1 = 2.0);
-  check "exact doubling" true (Backoff.delay_ms exact ~attempt:3 = 8.0);
-  check "capped" true (Backoff.delay_ms exact ~attempt:10 = 16.0);
-  check "bad jitter rejected" true
+  (* The fixed schedule: 1, 2, 4, ... ms capped at 64, each within +-20%. *)
+  let b = Backoff.create ~seed:3 () in
+  let delays = List.init 10 (fun i -> Backoff.delay_ms b ~attempt:(i + 1)) in
+  List.iteri
+    (fun i d ->
+      let ideal = Float.min 64.0 (2.0 ** float_of_int i) in
+      check
+        (Printf.sprintf "attempt %d within jitter band" (i + 1))
+        true
+        (d >= ideal *. 0.8 -. 1e-9 && d <= ideal *. 1.2 +. 1e-9))
+    delays;
+  check "jittered, not nominal" true
+    (List.exists2 (fun d i -> d <> Float.min 64.0 (2.0 ** float_of_int i))
+       delays (List.init 10 Fun.id));
+  let again = Backoff.create ~seed:3 () in
+  check "equal seeds, equal schedules" true
+    (List.for_all2 (fun d i -> Backoff.delay_ms again ~attempt:i = d)
+       delays (List.init 10 (fun i -> i + 1)));
+  check "attempts are 1-based" true
     (try
-       ignore (Backoff.create ~jitter:1.5 ~seed:0 ());
+       ignore (Backoff.delay_ms b ~attempt:0);
        false
      with Invalid_argument _ -> true)
 
