@@ -1291,7 +1291,7 @@ let plane_cmd =
         List.find_map
           (fun (r : Plane.result) ->
             let worst =
-              Float.max r.Plane.tcam_lat.Plane.p99 r.Plane.soft_lat.Plane.p99
+              Float.max r.Plane.tcam_lat.Measure.p99 r.Plane.soft_lat.Measure.p99
             in
             if worst > max_p99_ms *. 1e6 then
               Some (Firmware.algo_kind_name r.Plane.algo, worst)
@@ -1798,20 +1798,27 @@ let net_cmd =
       $ cases_arg $ node_fault_arg $ abort_at_arg $ hold_arg $ deadline_arg
       $ no_check_arg $ samples_arg $ domains_arg $ journal_arg $ json_arg)
 
+(* A flag value cmdliner cannot parse is a usage error like those the
+   command bodies catch, so it exits 2 too (cmdliner's own code is 124). *)
 let () =
   let doc = "FastRule (ICDCS'18) reproduction toolkit" in
   exit
-    (Cmd.eval
-       (Cmd.group
-          (Cmd.info "fastrule_cli" ~doc)
-          [
-            stats_cmd;
-            generate_cmd;
-            run_cmd;
-            ctrl_cmd;
-            journal_cmd;
-            conform_cmd;
-            cache_cmd;
-            plane_cmd;
-            net_cmd;
-          ]))
+    (match
+       Cmd.eval_value
+         (Cmd.group
+            (Cmd.info "fastrule_cli" ~doc)
+            [
+              stats_cmd;
+              generate_cmd;
+              run_cmd;
+              ctrl_cmd;
+              journal_cmd;
+              conform_cmd;
+              cache_cmd;
+              plane_cmd;
+              net_cmd;
+            ])
+     with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -20,6 +20,9 @@ let deadline_ms = 25.0
 let n = 2_000
 let burst = 40
 
+let fw_total run =
+  Array.fold_left ( +. ) 0.0 (Measure.Series.to_array (Firmware.firmware_times run))
+
 let () =
   Format.printf "=== Failure recovery: %d re-routed flows, %.0f ms deadline ===@.@."
     burst deadline_ms;
@@ -47,14 +50,10 @@ let () =
       let rec pairs = function
         | ins :: del :: rest ->
             let writes_before = Firmware.tcam_writes run + Firmware.tcam_erases run in
-            let fw_before =
-              (Measure.Series.summary (Firmware.firmware_times run)).Measure.total
-            in
+            let fw_before = fw_total run in
             ignore (Firmware.exec run ins);
             ignore (Firmware.exec run del);
-            let fw_after =
-              (Measure.Series.summary (Firmware.firmware_times run)).Measure.total
-            in
+            let fw_after = fw_total run in
             let writes_after = Firmware.tcam_writes run + Firmware.tcam_erases run in
             let tcam_ms =
               Latency.ops_ms latency

@@ -116,7 +116,6 @@ module Cache_driver = Fr_cache.Driver
 
 (** {1 The data plane (wait-free snapshot lookups under update storms)} *)
 
-module Plane_hist = Fr_plane.Hist
 module Plane_backend = Fr_plane.Backend
 module Plane = Fr_plane.Storm
 

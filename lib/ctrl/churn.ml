@@ -150,7 +150,7 @@ let run ?policy ?algo ?verify ?resil ?journal ?domains ?configure ?(chaos = [])
     live := List.filter (fun x -> x <> id) !live;
     decr n_live
   in
-  let wall = Measure.Series.create () in
+  let wall = Measure.Hist.create () in
   let flushes = ref 0 in
   let chaos_pending = ref chaos in
   let flush () =
@@ -168,7 +168,7 @@ let run ?policy ?algo ?verify ?resil ?journal ?domains ?configure ?(chaos = [])
     chaos_pending := rest;
     List.iter (apply_chaos_event service ~seed:spec.seed) due;
     let report = Service.flush service in
-    Measure.Series.add wall report.Service.wall_ms;
+    Measure.Hist.record wall report.Service.wall_ms;
     incr flushes
   in
   (try
@@ -213,5 +213,5 @@ let run ?policy ?algo ?verify ?resil ?journal ?domains ?configure ?(chaos = [])
     diverted = sum Telemetry.diverted;
     rebalanced = sum Telemetry.rebalanced;
     restarts = sum Telemetry.restarts;
-    flush_wall_ms = Measure.Series.summary wall;
+    flush_wall_ms = Measure.Hist.summary wall;
   }

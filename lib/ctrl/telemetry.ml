@@ -68,6 +68,7 @@ module Json = struct
         ("p50", Float s.Measure.p50);
         ("p95", Float s.Measure.p95);
         ("p99", Float s.Measure.p99);
+        ("p999", Float s.Measure.p999);
       ]
 end
 
@@ -80,8 +81,6 @@ type t = {
   mutable drains : int;
   mutable tcam_ops : int;
   mutable moves : int;
-  mutable fw_ms : float;
-  mutable hw_ms : float;
   mutable depth_max : int;
   (* supervision (Fr_resil) *)
   mutable retries : int;  (* retry rounds run *)
@@ -114,16 +113,16 @@ type t = {
   mutable cache_admit_skips : int;  (* admissions refused (no cold victims) *)
   mutable cache_repairs : int;  (* flush-failure repair passes *)
   mutable cache_flushes : int;  (* maintenance rounds flushed *)
-  fw_series : Measure.Series.t;  (* per drain *)
-  hw_series : Measure.Series.t;
-  wall_series : Measure.Series.t;
-  ops_series : Measure.Series.t;
-  hw_op_series : Measure.Series.t;
+  fw : Measure.Hist.t;  (* per drain *)
+  hw : Measure.Hist.t;
+  wall : Measure.Hist.t;
+  ops : Measure.Hist.t;
+  hw_op : Measure.Hist.t;
       (* modelled hardware ms per TCAM op, one sample per non-empty drain
          — the latency histogram the adaptive slow-call threshold reads *)
-  closure_series : Measure.Series.t;
+  closure : Measure.Hist.t;
       (* admission-closure sizes, one sample per admission *)
-  churn_series : Measure.Series.t;
+  churn : Measure.Hist.t;
       (* inserts + deletes per cache maintenance flush *)
 }
 
@@ -137,8 +136,6 @@ let create () =
     drains = 0;
     tcam_ops = 0;
     moves = 0;
-    fw_ms = 0.0;
-    hw_ms = 0.0;
     depth_max = 0;
     retries = 0;
     retried_ops = 0;
@@ -163,13 +160,13 @@ let create () =
     cache_admit_skips = 0;
     cache_repairs = 0;
     cache_flushes = 0;
-    fw_series = Measure.Series.create ();
-    hw_series = Measure.Series.create ();
-    wall_series = Measure.Series.create ();
-    ops_series = Measure.Series.create ();
-    hw_op_series = Measure.Series.create ();
-    closure_series = Measure.Series.create ();
-    churn_series = Measure.Series.create ();
+    fw = Measure.Hist.create ();
+    hw = Measure.Hist.create ();
+    wall = Measure.Hist.create ();
+    ops = Measure.Hist.create ();
+    hw_op = Measure.Hist.create ();
+    closure = Measure.Hist.create ();
+    churn = Measure.Hist.create ();
   }
 
 let record_submitted t = t.submitted <- t.submitted + 1
@@ -200,7 +197,7 @@ let record_cache_miss t = t.cache_misses <- t.cache_misses + 1
 
 let record_cache_admission t ~rules =
   t.cache_admitted <- t.cache_admitted + rules;
-  Measure.Series.add t.closure_series (float_of_int rules)
+  Measure.Hist.record t.closure (float_of_int rules)
 
 let record_cache_eviction t ~rules = t.cache_evicted <- t.cache_evicted + rules
 let record_cache_admit_skip t = t.cache_admit_skips <- t.cache_admit_skips + 1
@@ -208,7 +205,7 @@ let record_cache_repair t = t.cache_repairs <- t.cache_repairs + 1
 
 let record_cache_flush t ~inserts ~deletes =
   t.cache_flushes <- t.cache_flushes + 1;
-  Measure.Series.add t.churn_series (float_of_int (inserts + deletes))
+  Measure.Hist.record t.churn (float_of_int (inserts + deletes))
 let record_rejected t n = t.rejected <- t.rejected + n
 
 let record_drain t ~queue_depth ~applied ~failed ~firmware_ms ~hardware_ms
@@ -218,15 +215,13 @@ let record_drain t ~queue_depth ~applied ~failed ~firmware_ms ~hardware_ms
   t.failed <- t.failed + failed;
   t.tcam_ops <- t.tcam_ops + tcam_ops;
   t.moves <- t.moves + moves;
-  t.fw_ms <- t.fw_ms +. firmware_ms;
-  t.hw_ms <- t.hw_ms +. hardware_ms;
   if queue_depth > t.depth_max then t.depth_max <- queue_depth;
-  Measure.Series.add t.fw_series firmware_ms;
-  Measure.Series.add t.hw_series hardware_ms;
-  Measure.Series.add t.wall_series wall_ms;
-  Measure.Series.add t.ops_series (float_of_int tcam_ops);
+  Measure.Hist.record t.fw firmware_ms;
+  Measure.Hist.record t.hw hardware_ms;
+  Measure.Hist.record t.wall wall_ms;
+  Measure.Hist.record t.ops (float_of_int tcam_ops);
   if tcam_ops > 0 then
-    Measure.Series.add t.hw_op_series (hardware_ms /. float_of_int tcam_ops)
+    Measure.Hist.record t.hw_op (hardware_ms /. float_of_int tcam_ops)
 
 let submitted t = t.submitted
 let coalesced t = t.coalesced
@@ -236,8 +231,8 @@ let failed t = t.failed
 let drains t = t.drains
 let tcam_ops t = t.tcam_ops
 let moves t = t.moves
-let firmware_ms_total t = t.fw_ms
-let hardware_ms_total t = t.hw_ms
+let firmware_ms_total t = Measure.Hist.total t.fw
+let hardware_ms_total t = Measure.Hist.total t.hw
 let queue_depth_max t = t.depth_max
 let retries t = t.retries
 let retried_ops t = t.retried_ops
@@ -255,11 +250,11 @@ let dead_rows t = t.dead_rows
 let degraded_diverted t = t.degraded_diverted
 let heal_probes t = t.heal_probes
 let rows_recovered t = t.rows_recovered
-let firmware_ms t = Measure.Series.summary t.fw_series
-let hardware_ms t = Measure.Series.summary t.hw_series
-let wall_ms t = Measure.Series.summary t.wall_series
-let drain_ops t = Measure.Series.summary t.ops_series
-let hw_per_op_ms t = Measure.Series.summary t.hw_op_series
+let firmware_ms t = Measure.Hist.summary t.fw
+let hardware_ms t = Measure.Hist.summary t.hw
+let wall_ms t = Measure.Hist.summary t.wall
+let drain_ops t = Measure.Hist.summary t.ops
+let hw_per_op_ms t = Measure.Hist.summary t.hw_op
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
 let cache_admitted t = t.cache_admitted
@@ -272,57 +267,13 @@ let cache_hit_rate t =
   let total = t.cache_hits + t.cache_misses in
   if total = 0 then 0.0 else float_of_int t.cache_hits /. float_of_int total
 
-let cache_closure t = Measure.Series.summary t.closure_series
-let cache_churn t = Measure.Series.summary t.churn_series
+let cache_closure t = Measure.Hist.summary t.closure
+let cache_churn t = Measure.Hist.summary t.churn
 
-type histogram = { bounds : float array; counts : int array }
-
-(* Log2-spaced bucket bounds from just under the smallest positive sample
-   up to the largest; every sample <= bounds.(i) for some i except the
-   overflow bucket. *)
-let histogram ?(buckets = 12) samples =
-  let positive = Array.of_list (List.filter (fun x -> x > 0.0) (Array.to_list samples)) in
-  if Array.length positive = 0 then
-    { bounds = [| 1.0 |]; counts = [| Array.length samples; 0 |] }
-  else begin
-    let lo = Array.fold_left min positive.(0) positive in
-    let hi = Array.fold_left max positive.(0) positive in
-    let lo_exp = int_of_float (Float.floor (Float.log2 lo)) in
-    let hi_exp = int_of_float (Float.ceil (Float.log2 hi)) in
-    let n = min buckets (max 1 (hi_exp - lo_exp + 1)) in
-    (* When the range exceeds the bucket budget, widen the step so the
-       top bound still covers [hi]. *)
-    let step =
-      float_of_int (max 1 ((hi_exp - lo_exp + n) / n))
-    in
-    let bounds =
-      Array.init n (fun i ->
-          Float.pow 2.0 (float_of_int lo_exp +. (step *. float_of_int (i + 1))))
-    in
-    let counts = Array.make (n + 1) 0 in
-    Array.iter
-      (fun x ->
-        let rec place i =
-          if i >= n then counts.(n) <- counts.(n) + 1
-          else if x <= bounds.(i) then counts.(i) <- counts.(i) + 1
-          else place (i + 1)
-        in
-        place 0)
-      samples;
-    { bounds; counts }
-  end
-
-let latency_histogram t = histogram (Measure.Series.to_array t.wall_series)
-let moves_histogram t = histogram (Measure.Series.to_array t.ops_series)
-
-let pp_histogram ppf { bounds; counts } =
-  Array.iteri
-    (fun i c ->
-      if c > 0 then
-        if i < Array.length bounds then
-          Format.fprintf ppf "    <= %8.3f  %d@." bounds.(i) c
-        else Format.fprintf ppf "     > %8.3f  %d@." bounds.(Array.length bounds - 1) c)
-    counts
+let pp_buckets ppf h =
+  List.iter
+    (fun (upper, n) -> Format.fprintf ppf "    < %8.3f  %d@." upper n)
+    (Measure.Hist.nonempty_buckets h)
 
 let pp ppf t =
   Format.fprintf ppf
@@ -367,14 +318,15 @@ let pp ppf t =
     (firmware_ms t);
   Format.fprintf ppf "hardware/drain (ms): %a@." Measure.pp_summary
     (hardware_ms t);
-  Format.fprintf ppf "drain latency histogram (wall ms):@.%a" pp_histogram
-    (latency_histogram t)
+  Format.fprintf ppf "drain latency histogram (wall ms):@.%a" pp_buckets
+    t.wall
 
-let histogram_json { bounds; counts } =
+let buckets_json h =
+  let bs = Measure.Hist.nonempty_buckets h in
   Json.Obj
     [
-      ("bounds", Json.List (Array.to_list (Array.map (fun b -> Json.Float b) bounds)));
-      ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) counts)));
+      ("bounds", Json.List (List.map (fun (upper, _) -> Json.Float upper) bs));
+      ("counts", Json.List (List.map (fun (_, n) -> Json.Int n) bs));
     ]
 
 let to_json t =
@@ -415,13 +367,13 @@ let to_json t =
       ("cache_flushes", Json.Int t.cache_flushes);
       ("cache_closure", Json.of_summary (cache_closure t));
       ("cache_churn", Json.of_summary (cache_churn t));
-      ("firmware_ms_total", Json.Float t.fw_ms);
-      ("hardware_ms_total", Json.Float t.hw_ms);
+      ("firmware_ms_total", Json.Float (firmware_ms_total t));
+      ("hardware_ms_total", Json.Float (hardware_ms_total t));
       ("firmware_ms", Json.of_summary (firmware_ms t));
       ("hardware_ms", Json.of_summary (hardware_ms t));
       ("wall_ms", Json.of_summary (wall_ms t));
       ("drain_ops", Json.of_summary (drain_ops t));
       ("hw_per_op_ms", Json.of_summary (hw_per_op_ms t));
-      ("latency_histogram", histogram_json (latency_histogram t));
-      ("moves_histogram", histogram_json (moves_histogram t));
+      ("latency_histogram", buckets_json t.wall);
+      ("moves_histogram", buckets_json t.ops);
     ]

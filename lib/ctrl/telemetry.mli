@@ -6,9 +6,10 @@
     scheduler, how long each drain spent in the two clocks the paper
     separates (firmware computation vs modelled TCAM write time), how
     many hardware ops and movements each drain cost, and how deep the
-    queue ran.  Counters are plain monotonic ints; per-drain samples are
-    kept whole ({!Fr_switch.Measure.Series}) so percentiles are exact,
-    with log-bucketed histograms derived on demand for the dumps. *)
+    queue ran.  Counters are plain monotonic ints; each per-drain
+    quantity is a {!Fr_switch.Measure.Hist}: count, sum, min and max are
+    exact, percentiles are within a 2^(1/8) bucket of the exact value,
+    and memory stays the same however long the shard runs. *)
 
 (** A minimal JSON value — enough for machine-readable dumps without an
     external dependency.  Serialisation is deterministic (fields print in
@@ -26,7 +27,7 @@ module Json : sig
   (** Compact, valid JSON ([Float nan/inf] print as [null]). *)
 
   val of_summary : Fr_switch.Measure.summary -> v
-  (** [{count, mean, min, max, p50, p95, p99}]. *)
+  (** [{count, mean, min, max, p50, p95, p99, p999}]. *)
 end
 
 type t
@@ -51,7 +52,7 @@ val record_drain :
   wall_ms:float ->
   unit
 (** One drain's worth of accounting; the [*_ms] / op figures feed the
-    per-drain series, the rest the counters. *)
+    per-drain histograms, the rest the counters. *)
 
 (** {1 Recording (called by the supervisor, [Fr_resil] via {!Service})} *)
 
@@ -202,22 +203,9 @@ val hw_per_op_ms : t -> Fr_switch.Measure.summary
     Modelled time, so the summary is deterministic for a given op
     stream. *)
 
-type histogram = { bounds : float array; counts : int array }
-(** [counts.(i)] samples fall in [(bounds.(i-1), bounds.(i)]] (the first
-    bucket is [<= bounds.(0)], the last unbounded above). *)
-
-val histogram : ?buckets:int -> float array -> histogram
-(** Log2-spaced buckets spanning the samples' range. *)
-
-val latency_histogram : t -> histogram
-(** Histogram of per-drain wall milliseconds. *)
-
-val moves_histogram : t -> histogram
-(** Histogram of per-drain TCAM op counts. *)
-
 val pp : Format.formatter -> t -> unit
 (** The plain-text dump: counters one per line, then the two-clock
-    summaries and the latency histogram. *)
+    summaries and the non-empty buckets of the wall-clock drain latency. *)
 
 val to_json : t -> Json.v
 (** Everything above as one object (see doc/CTRL.md for the schema). *)

@@ -160,7 +160,8 @@ let fault_of_string s =
                      int_of_string_opt heal)
                   with
                   | Some round, Some ms, Some heal
-                    when round >= 0 && ms > 0. && heal >= 1 ->
+                    when round >= 0 && Float.is_finite ms && ms > 0.
+                         && heal >= 1 ->
                       Ok (node, Slow_from { round; slow_ms = ms; heal_after = heal })
                   | _ -> fail "fault %S: bad slow spec %S" s arg))
           | "stuck" -> (

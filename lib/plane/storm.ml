@@ -41,15 +41,6 @@ let default_spec =
     rebuild_every = 256;
   }
 
-type lat = {
-  p50 : float;
-  p99 : float;
-  p999 : float;
-  mean : float;
-  max : float;
-  samples : int;
-}
-
 type result = {
   spec : spec;
   algo : Firmware.algo_kind;
@@ -58,8 +49,8 @@ type result = {
   failed : int;
   flushes : int;
   storm_wall_ms : float;
-  tcam_lat : lat;
-  soft_lat : lat;
+  tcam_lat : Measure.summary;
+  soft_lat : Measure.summary;
   lookups : int;
   hits : int;
   misses : int;
@@ -72,8 +63,8 @@ type result = {
 
 (* What one LGEN domain brings home. *)
 type reader_report = {
-  r_tcam : Hist.t;
-  r_soft : Hist.t;
+  r_tcam : Measure.Hist.t;
+  r_soft : Measure.Hist.t;
   r_tallies : (int, int) Hashtbl.t;
   r_hits : int;
   r_misses : int;
@@ -83,16 +74,6 @@ type reader_report = {
   r_agree : int;
   r_disagree : int;
 }
-
-let lat_of h =
-  {
-    p50 = Hist.p50 h;
-    p99 = Hist.p99 h;
-    p999 = Hist.p999 h;
-    mean = Hist.mean_ns h;
-    max = float_of_int (Hist.max_ns h);
-    samples = Hist.count h;
-  }
 
 let now_ns () = Monotonic_clock.now ()
 
@@ -108,7 +89,7 @@ let reader ~spec ~shard0 ~rules ~stop idx () =
       ~seed:(spec.seed + (7919 * (idx + 1)))
       ~flows:spec.flows ~skew:spec.skew
   in
-  let tcam_h = Hist.create () and soft_h = Hist.create () in
+  let tcam_h = Measure.Hist.create () and soft_h = Measure.Hist.create () in
   let tallies = Hashtbl.create 64 in
   let hits = ref 0 and misses = ref 0 in
   let agree = ref 0 and disagree = ref 0 in
@@ -129,7 +110,7 @@ let reader ~spec ~shard0 ~rules ~stop idx () =
     let t0 = now_ns () in
     let answer = Image.lookup img pkt in
     let t1 = now_ns () in
-    Hist.record tcam_h (Int64.to_int (Int64.sub t1 t0));
+    Measure.Hist.record tcam_h (Int64.to_float (Int64.sub t1 t0));
     (match answer with
     | Some r ->
         incr hits;
@@ -143,7 +124,7 @@ let reader ~spec ~shard0 ~rules ~stop idx () =
     let t2 = now_ns () in
     let soft = Backend.lookup !backend pkt in
     let t3 = now_ns () in
-    Hist.record soft_h (Int64.to_int (Int64.sub t3 t2));
+    Measure.Hist.record soft_h (Int64.to_float (Int64.sub t3 t2));
     let reference = Image.lookup (Backend.image !backend) pkt in
     let same =
       match (soft, reference) with
@@ -210,12 +191,12 @@ let run ?(algo = Firmware.FR_O Fr_sched.Store.Bit_backend) ?domains spec =
   (* Merge: private histograms and flow-stats tallies fold in on this
      domain, after the readers joined — the counter fix for snapshot-
      served packets (Agent.account_hits). *)
-  let tcam_h = Hist.create () and soft_h = Hist.create () in
+  let tcam_h = Measure.Hist.create () and soft_h = Measure.Hist.create () in
   let agent = Shard.agent shard0 in
   List.iter
     (fun r ->
-      Hist.merge ~into:tcam_h r.r_tcam;
-      Hist.merge ~into:soft_h r.r_soft;
+      Measure.Hist.merge ~into:tcam_h r.r_tcam;
+      Measure.Hist.merge ~into:soft_h r.r_soft;
       Agent.account_hits agent ~misses:r.r_misses
         (Hashtbl.fold (fun id n acc -> (id, n) :: acc) r.r_tallies []))
     reports;
@@ -228,8 +209,8 @@ let run ?(algo = Firmware.FR_O Fr_sched.Store.Bit_backend) ?domains spec =
     failed = churn.Churn.failed;
     flushes = churn.Churn.flushes;
     storm_wall_ms;
-    tcam_lat = lat_of tcam_h;
-    soft_lat = lat_of soft_h;
+    tcam_lat = Measure.Hist.summary tcam_h;
+    soft_lat = Measure.Hist.summary soft_h;
     lookups = sum (fun r -> r.r_lookups);
     hits = sum (fun r -> r.r_hits);
     misses = sum (fun r -> r.r_misses);
@@ -245,9 +226,9 @@ let run_all ?domains spec =
     (fun algo -> run ~algo ?domains spec)
     (Firmware.standard_algos Fr_sched.Store.Bit_backend)
 
-let pp_lat ppf (l : lat) =
-  Format.fprintf ppf "p50 %.0f  p99 %.0f  p999 %.0f ns (%d samples)" l.p50
-    l.p99 l.p999 l.samples
+let pp_lat ppf (l : Measure.summary) =
+  Format.fprintf ppf "p50 %.0f  p99 %.0f  p999 %.0f ns (%d samples)"
+    l.Measure.p50 l.Measure.p99 l.Measure.p999 l.Measure.count
 
 let pp_result ppf r =
   Format.fprintf ppf
@@ -266,18 +247,6 @@ let pp_result ppf r =
     r.disagree
 
 let volatile_keys = [ "storm_wall_ms"; "traffic"; "tcam_ns"; "soft_ns" ]
-
-let lat_json (l : lat) =
-  let open Telemetry.Json in
-  Obj
-    [
-      ("p50", Float l.p50);
-      ("p99", Float l.p99);
-      ("p999", Float l.p999);
-      ("mean", Float l.mean);
-      ("max", Float l.max);
-      ("samples", Int l.samples);
-    ]
 
 let result_json r =
   let open Telemetry.Json in
@@ -313,6 +282,6 @@ let result_json r =
             ("agree", Int r.agree);
             ("disagree", Int r.disagree);
           ] );
-      ("tcam_ns", lat_json r.tcam_lat);
-      ("soft_ns", lat_json r.soft_lat);
+      ("tcam_ns", of_summary r.tcam_lat);
+      ("soft_ns", of_summary r.soft_lat);
     ]

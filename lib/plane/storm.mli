@@ -10,7 +10,7 @@
     block them and they never see a half-applied cascade step.
 
     Each reader times every lookup with the monotonic clock into private
-    log-bucketed {!Hist}s — one for the TCAM-emulation path
+    {!Fr_switch.Measure.Hist}s — one for the TCAM-emulation path
     ([Image.lookup]) and one for the {!Backend} software engine, which is
     recompiled from a fresh snapshot every [rebuild_every] lookups and
     cross-validated on every packet against [Image.lookup] over the
@@ -48,15 +48,6 @@ type spec = {
 
 val default_spec : spec
 
-type lat = {
-  p50 : float;
-  p99 : float;
-  p999 : float;
-  mean : float;
-  max : float;  (** all ns *)
-  samples : int;
-}
-
 type result = {
   spec : spec;
   algo : Fr_switch.Firmware.algo_kind;
@@ -65,8 +56,10 @@ type result = {
   failed : int;
   flushes : int;
   storm_wall_ms : float;
-  tcam_lat : lat;  (** [Image.lookup] — the TCAM-emulation read path *)
-  soft_lat : lat;  (** {!Backend.lookup} — the software engine *)
+  tcam_lat : Fr_switch.Measure.summary;
+      (** [Image.lookup] — the TCAM-emulation read path, in ns *)
+  soft_lat : Fr_switch.Measure.summary;
+      (** {!Backend.lookup} — the software engine, in ns *)
   lookups : int;
   hits : int;
   misses : int;

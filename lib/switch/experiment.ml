@@ -84,7 +84,8 @@ let run_one ?latency ?layout_override ?cap ~table ~stream kind =
   in
   let run = Firmware.create ?latency ?layout_override kind ~table ~tcam_size () in
   let failed = Firmware.exec_all run stream in
-  let fw = Measure.Series.summary (Firmware.firmware_times run) in
+  let summary series = Measure.summarize (Measure.Series.to_array series) in
+  let fw = summary (Firmware.firmware_times run) in
   let done_count = Firmware.updates_done run in
   {
     algo = Firmware.algo_kind_name kind;
@@ -100,7 +101,7 @@ let run_one ?latency ?layout_override ?cap ~table ~stream kind =
     writes = Firmware.tcam_writes run;
     erases = Firmware.tcam_erases run;
     moves = Firmware.moves_total run;
-    seq_len_mean = (Measure.Series.summary (Firmware.seq_lengths run)).Measure.mean;
+    seq_len_mean = (summary (Firmware.seq_lengths run)).Measure.mean;
   }
 
 let run_spec ?(participation = default_participation) (spec : spec) ~algos =

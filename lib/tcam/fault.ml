@@ -13,7 +13,8 @@ let create ?(fail_prob = 0.0) ?(stuck = []) ?max_failures ?(slow_ms = 0.0)
     ~seed () =
   if fail_prob < 0.0 || fail_prob > 1.0 then
     invalid_arg "Fault.create: fail_prob must be in [0, 1]";
-  if slow_ms < 0.0 then invalid_arg "Fault.create: slow_ms must be >= 0";
+  if not (Float.is_finite slow_ms && slow_ms >= 0.0) then
+    invalid_arg "Fault.create: slow_ms must be finite and >= 0";
   let tbl = Hashtbl.create (max 1 (List.length stuck)) in
   List.iter (fun a -> Hashtbl.replace tbl a ()) stuck;
   {
@@ -107,7 +108,8 @@ let spec_of_string s =
                 | _ -> Error (Printf.sprintf "fault spec: bad max %S" value))
             | "slow" -> (
                 match float_of_string_opt value with
-                | Some ms when ms >= 0.0 -> go { acc with slow_ms = ms } rest
+                | Some ms when Float.is_finite ms && ms >= 0.0 ->
+                    go { acc with slow_ms = ms } rest
                 | _ -> Error (Printf.sprintf "fault spec: bad slow %S" value))
             | k -> Error (Printf.sprintf "fault spec: unknown key %S" k)
             end))

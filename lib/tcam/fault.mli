@@ -31,7 +31,7 @@ val create :
     (default 0) is extra modelled latency billed per hardware operation
     — a latency fault: the op still succeeds, it just takes longer.
     @raise Invalid_argument if [fail_prob] is outside [\[0, 1\]] or
-    [slow_ms] is negative. *)
+    [slow_ms] is negative or not finite. *)
 
 type spec = {
   fail_prob : float;
@@ -52,8 +52,8 @@ val spec_to_string : spec -> string
 val spec_of_string : string -> (spec, string) result
 (** Parse the {!spec_to_string} form; every key is optional and order is
     free ([p] in [\[0,1\]], [stuck] a [+]-separated address list, [max]
-    a non-negative failure budget, [slow] a non-negative latency in
-    ms).  Repeating a key is rejected rather than silently taking the
+    a non-negative failure budget, [slow] a finite non-negative latency
+    in ms).  Repeating a key is rejected rather than silently taking the
     last occurrence. *)
 
 val should_fail : t -> addr:int -> bool

@@ -68,7 +68,8 @@ timeout 20 "$CLI" ctrl --journal "$TMP/badmeta" --recover >/dev/null 2>&1 \
 [ "$status" -eq 2 ] || fail "bad meta: recovery expected exit 2, got $status"
 
 echo "== ctrl usage errors exit 2 (exit 1 means the run had failures) =="
-for args in "-s 0" "-c 0" "-b 0" "--domains 0" "--dead-frac 1"; do
+for args in "-s 0" "-c 0" "-b 0" "--domains 0" "--dead-frac 1" \
+  "--fault 0:slow=inf" "-k nope"; do
   status=0
   # shellcheck disable=SC2086
   "$CLI" ctrl $args >/dev/null 2>&1 || status=$?

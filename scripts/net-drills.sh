@@ -91,8 +91,10 @@ for mode in "" --oracle; do
 done
 
 # A policy the switches cannot hold is a usage error, in every mode; so
-# is a stuck fault that can never engage (shard 9 of 2, row 999999 of 64).
+# is a stuck fault that can never engage (shard 9 of 2, row 999999 of 64),
+# and so is a flag value the parser rejects (an unknown shape).
 echo "== usage errors exit 2 =="
+expect_exit 2 --shape blob
 expect_exit 2 --flows 40 --nodes 3 --capacity 4
 expect_exit 2 --flows 40 --nodes 3 --capacity 4 --oracle
 expect_exit 2 --chaos --cases 3 --capacity 2

@@ -326,6 +326,27 @@ let test_telemetry_roundtrip () =
     (Telemetry.Json.to_string (strip_measured dump)
     = Telemetry.Json.to_string (strip_measured dump'))
 
+(* Every per-drain distribution is a fixed-size histogram: the footprint
+   must not grow with the drain count, nor depend on the values recorded
+   (a grid sized by the largest sample would make perfbench's heap words
+   depend on wall-clock readings). *)
+let test_telemetry_memory_bounded () =
+  let words ~drains ~ms =
+    let t = Telemetry.create () in
+    for i = 1 to drains do
+      Telemetry.record_drain t ~queue_depth:i ~applied:1 ~failed:0
+        ~firmware_ms:ms ~hardware_ms:(ms *. 2.0) ~tcam_ops:(i mod 7)
+        ~moves:0 ~wall_ms:(ms *. float_of_int i)
+    done;
+    Telemetry.record_cache_admission t ~rules:drains;
+    Telemetry.record_cache_flush t ~inserts:drains ~deletes:1;
+    Obj.reachable_words (Obj.repr t)
+  in
+  check_int "10 vs 100,000 drains" (words ~drains:10 ~ms:0.6)
+    (words ~drains:100_000 ~ms:0.6);
+  check_int "tiny vs huge values" (words ~drains:100 ~ms:1e-12)
+    (words ~drains:100 ~ms:1e12)
+
 let suite =
   [
     ( "ctrl",
@@ -340,6 +361,8 @@ let suite =
           test_shard_failure_isolation;
         Alcotest.test_case "telemetry round-trip" `Quick
           test_telemetry_roundtrip;
+        Alcotest.test_case "telemetry memory bounded" `Quick
+          test_telemetry_memory_bounded;
       ] );
     ( "ctrl-props",
       List.map QCheck_alcotest.to_alcotest

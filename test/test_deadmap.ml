@@ -307,12 +307,16 @@ let test_spec_strings () =
       "stuck=1+x";
       "max=-1";
       "slow=-0.5";
+      "slow=inf";
       "turbo=1";
       "justakey";
       "p=0.5,p=0.2";
       "stuck=1,stuck=2";
       "slow=1,slow=1";
-    ]
+    ];
+  Alcotest.check_raises "Fault.create rejects an infinite slow_ms"
+    (Invalid_argument "Fault.create: slow_ms must be finite and >= 0")
+    (fun () -> ignore (Fault.create ~slow_ms:infinity ~seed:1 ()))
 
 let spec_gen =
   QCheck.Gen.(

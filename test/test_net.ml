@@ -459,7 +459,8 @@ let test_fault_codec_roundtrip () =
       match Net_scenario.fault_of_string s with
       | Ok _ -> Alcotest.failf "%S should not parse" s
       | Error _ -> ())
-    [ ""; "0:crash"; "crash@1"; "0:warp@1"; "0:slow@2"; "0:stuck@1=2:" ]
+    [ ""; "0:crash"; "crash@1"; "0:warp@1"; "0:slow@2"; "1:slow@0=infx2";
+      "0:stuck@1=2:" ]
 
 let strict_supervision =
   {

@@ -1,48 +1,10 @@
-(* The lookup-under-update data plane: log-bucketed histograms, the
-   TupleChain-style software backend, and the LGEN/SUT storm driver. *)
+(* The lookup-under-update data plane: the TupleChain-style software
+   backend and the LGEN/SUT storm driver. *)
 
 open Fastrule
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* --- histograms ----------------------------------------------------- *)
-
-let test_hist_empty () =
-  let h = Plane_hist.create () in
-  check_int "count" 0 (Plane_hist.count h);
-  check "quantile of nothing" true (Plane_hist.p50 h = 0.0)
-
-let test_hist_quantiles () =
-  (* Geometric buckets at ratio 2^(1/8): every quantile lands within
-     ~9% of the true value. *)
-  let h = Plane_hist.create () in
-  for _ = 1 to 990 do
-    Plane_hist.record h 1_000
-  done;
-  for _ = 1 to 10 do
-    Plane_hist.record h 1_000_000
-  done;
-  let near x v = v > x /. 1.1 && v < x *. 1.1 in
-  check "p50 near 1us" true (near 1_000.0 (Plane_hist.p50 h));
-  check "p99 still 1us" true (near 1_000.0 (Plane_hist.p99 h));
-  check "p999 catches the tail" true (near 1_000_000.0 (Plane_hist.p999 h));
-  check "mean between" true
-    (Plane_hist.mean_ns h > 1_000.0 && Plane_hist.mean_ns h < 1_000_000.0);
-  check_int "max exact" 1_000_000 (Plane_hist.max_ns h);
-  check_int "count" 1_000 (Plane_hist.count h)
-
-let test_hist_merge () =
-  let a = Plane_hist.create () and b = Plane_hist.create () in
-  for _ = 1 to 50 do
-    Plane_hist.record a 500;
-    Plane_hist.record b 8_000
-  done;
-  Plane_hist.merge ~into:a b;
-  check_int "merged count" 100 (Plane_hist.count a);
-  check_int "merged max" 8_000 (Plane_hist.max_ns a);
-  let p50 = Plane_hist.p50 a in
-  check "merged p50 spans both" true (p50 > 450.0 && p50 < 9_000.0)
 
 (* --- software backend ----------------------------------------------- *)
 
@@ -118,9 +80,9 @@ let test_storm_smoke () =
   check_int "backend never disagrees" 0 r.Plane.disagree;
   check "observed at least one epoch" true (r.Plane.epochs_seen >= 1);
   check "latency histograms populated" true
-    (r.Plane.tcam_lat.Plane.samples = r.Plane.lookups
-    && r.Plane.soft_lat.Plane.samples = r.Plane.lookups
-    && r.Plane.tcam_lat.Plane.p99 >= r.Plane.tcam_lat.Plane.p50)
+    (r.Plane.tcam_lat.Measure.count = r.Plane.lookups
+    && r.Plane.soft_lat.Measure.count = r.Plane.lookups
+    && r.Plane.tcam_lat.Measure.p99 >= r.Plane.tcam_lat.Measure.p50)
 
 let test_storm_four_domains_deterministic () =
   (* The storm side is a pure function of the seed, whatever the flush
@@ -195,9 +157,6 @@ let suite =
   [
     ( "plane",
       [
-        Alcotest.test_case "hist empty" `Quick test_hist_empty;
-        Alcotest.test_case "hist quantiles" `Quick test_hist_quantiles;
-        Alcotest.test_case "hist merge" `Quick test_hist_merge;
         Alcotest.test_case "backend shape" `Quick test_backend_shape;
         Alcotest.test_case "backend = image lookup" `Quick test_backend_agrees;
         Alcotest.test_case "storm smoke" `Quick test_storm_smoke;
