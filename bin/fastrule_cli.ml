@@ -17,6 +17,16 @@ let bad fmt =
       exit 2)
     fmt
 
+(* A preload that does not fit the TCAM is a usage error too, named by
+   its rule count, shards and capacity as [net] names a node's. *)
+let preloading ~rules ~shards ~capacity f =
+  try f ()
+  with Invalid_argument m when String.starts_with ~prefix:"Layout.place" m ->
+    bad "%d rules do not load into %d shard%s of %d TCAM slots (%s)" rules
+      shards
+      (if shards = 1 then "" else "s")
+      capacity m
+
 (* --domains N for every command that flushes services: absent leaves the
    choice to the command ([none] documents it); N < 1 is a usage error. *)
 let domains_arg ?none doc =
@@ -440,8 +450,9 @@ let ctrl_cmd =
                 fs)
     in
     let r =
-      Churn.run ~policy ~resil ?journal ~domains ?configure
-        ~chaos ?stop_after_flushes:crash_after spec
+      preloading ~rules:n ~shards ~capacity (fun () ->
+          Churn.run ~policy ~resil ?journal ~domains ?configure
+            ~chaos ?stop_after_flushes:crash_after spec)
     in
     Format.printf
       "churn %s: %d shards x %d slots, %d preloaded, %d ops in windows of %d \
@@ -856,7 +867,10 @@ let conform_cmd =
         max_failures = fault_max;
       }
     in
-    let report = Oracle.run ~config trace in
+    let report =
+      preloading ~rules:trace.Trace.initial ~shards:1
+        ~capacity:trace.Trace.capacity (fun () -> Oracle.run ~config trace)
+    in
     Oracle.pp_report Format.std_formatter report;
     (match save with
     | Some path ->
@@ -1274,8 +1288,9 @@ let plane_cmd =
       }
     in
     let results =
-      if sweep then Plane.run_all ?domains spec
-      else [ Plane.run ~algo ?domains spec ]
+      preloading ~rules:n ~shards ~capacity (fun () ->
+          if sweep then Plane.run_all ?domains spec
+          else [ Plane.run ~algo ?domains spec ])
     in
     List.iter (fun r -> Plane.pp_result Format.std_formatter r) results;
     let disagreements =

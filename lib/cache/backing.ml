@@ -82,7 +82,7 @@ let set_action t id action =
   match Hashtbl.find_opt t.by_id id with
   | None -> Error (Printf.sprintf "unknown id %d" id)
   | Some r ->
-      let r' = { r with Rule.action } in
+      let r' = Rule.with_action r action in
       Hashtbl.replace t.by_id id r';
       Array.iteri
         (fun i (x : Rule.t) -> if x.Rule.id = id then t.sorted.(i) <- r')

@@ -44,7 +44,7 @@ let create ?kind ?latency ?domains ?(shards = 1) ?(flush_every = 64)
     flush_every;
     policy = Policy.create policy;
     ranks = Backing.topo_ranks backing;
-    telemetry = Telemetry.create ();
+    telemetry = Telemetry.create ~cache:true ();
     installed = Hashtbl.create (2 * slots);
     cached = Id_set.empty;
     pending_evict = Id_set.empty;

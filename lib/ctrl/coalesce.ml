@@ -106,12 +106,12 @@ let push ?epoch t ~installed fm =
           else reject t fm (Printf.sprintf "rule %d is not installed" id)
       | Some (P_add { rule; seq }) ->
           Hashtbl.replace t.tbl id
-            (P_add { rule = { rule with Rule.action }; seq });
+            (P_add { rule = Rule.with_action rule action; seq });
           fold t ~n:1;
           Folded
       | Some (P_replace { rule; seq }) ->
           Hashtbl.replace t.tbl id
-            (P_replace { rule = { rule with Rule.action }; seq });
+            (P_replace { rule = Rule.with_action rule action; seq });
           fold t ~n:1;
           Folded
       | Some (P_set _) ->

@@ -311,22 +311,22 @@ let route t fm =
 
 (* -- route upkeep ---------------------------------------------------- *)
 
-(* The route table a full scan of [shards] builds: every installed rule,
-   and every still-queued op (a quarantined shard still holds intent, and
-   follow-up ops for those ids must find the right queue).  O(table), so
-   only recovery builds routes this way; [routes_consistent] uses it as
-   the reference the incremental upkeep must match. *)
-let rebuild_routes shards =
-  let routes = Hashtbl.create 1024 in
+(* [f s id] for every id shard [s] holds: each installed rule, and each
+   still-queued op (a quarantined shard still holds intent, and follow-up
+   ops for those ids must find the right queue). *)
+let iter_held shards f =
   Array.iteri
     (fun s shard ->
-      List.iter
-        (fun (r : Rule.t) -> Hashtbl.replace routes r.Rule.id s)
-        (Agent.rules (Shard.agent shard));
-      List.iter
-        (fun fm -> Hashtbl.replace routes (Agent.mod_id fm) s)
-        (Shard.pending_mods shard))
-    shards;
+      List.iter (fun (r : Rule.t) -> f s r.Rule.id) (Agent.rules (Shard.agent shard));
+      List.iter (fun fm -> f s (Agent.mod_id fm)) (Shard.pending_mods shard))
+    shards
+
+(* The route table a full scan of [shards] builds.  O(table), so only
+   recovery builds routes this way; [routes_consistent] checks the
+   incremental upkeep against the same scan. *)
+let rebuild_routes shards =
+  let routes = Hashtbl.create 1024 in
+  iter_held shards (fun s id -> Hashtbl.replace routes id s);
   routes
 
 (* The route law for one id on shard [s]: while [s] holds it (installed
@@ -365,30 +365,38 @@ let reconcile_touched t =
          (s, Shard.take_touched t.shards.(s))))
 
 let routes_consistent t =
-  let want = rebuild_routes t.shards in
+  (* The full scan, refusing an id that two shards hold. *)
+  let want = Hashtbl.create 1024 and twice = ref None in
+  iter_held t.shards (fun s id ->
+      match Hashtbl.find_opt want id with
+      | None -> Hashtbl.add want id s
+      | Some s0 -> if s0 <> s && !twice = None then twice := Some (id, s0, s));
   let show = function Some s -> string_of_int s | None -> "none" in
-  match
-    Seq.find
-      (fun id -> Hashtbl.find_opt t.routes id <> Hashtbl.find_opt want id)
-      (Seq.append (Hashtbl.to_seq_keys want) (Hashtbl.to_seq_keys t.routes))
-  with
-  | Some id ->
-      Error
-        (Printf.sprintf "route of rule %d is %s, a full rebuild says %s" id
-           (show (Hashtbl.find_opt t.routes id))
-           (show (Hashtbl.find_opt want id)))
+  match !twice with
+  | Some (id, a, b) -> Error (Printf.sprintf "rule %d is held by shards %d and %d" id a b)
   | None -> (
       match
-        List.find_opt
-          (fun (id, s) -> Hashtbl.find_opt want id <> Some s)
-          (Partition.Overlay.bindings t.overlay)
+        Seq.find
+          (fun id -> Hashtbl.find_opt t.routes id <> Hashtbl.find_opt want id)
+          (Seq.append (Hashtbl.to_seq_keys want) (Hashtbl.to_seq_keys t.routes))
       with
-      | Some (id, s) ->
+      | Some id ->
           Error
-            (Printf.sprintf
-               "overlay binds rule %d to shard %d, but its route is %s" id s
+            (Printf.sprintf "route of rule %d is %s, a full rebuild says %s" id
+               (show (Hashtbl.find_opt t.routes id))
                (show (Hashtbl.find_opt want id)))
-      | None -> Ok ())
+      | None -> (
+          match
+            List.find_opt
+              (fun (id, s) -> Hashtbl.find_opt want id <> Some s)
+              (Partition.Overlay.bindings t.overlay)
+          with
+          | Some (id, s) ->
+              Error
+                (Printf.sprintf
+                   "overlay binds rule %d to shard %d, but its route is %s" id s
+                   (show (Hashtbl.find_opt want id)))
+          | None -> Ok ()))
 
 type submit_outcome = Accepted | Overloaded of string
 
@@ -590,8 +598,13 @@ let drain_supervised t i =
   Telemetry.set_breaker_state tele (Breaker.state_to_string (Breaker.state br));
   (match (t.journals, drain_id) with
   | Some js, Some drain ->
+      (* Replay runs on a fresh agent that has lost the dead-row map, so
+         a rejection that dead rows caused (no room, no feasible
+         address) would replay as a success: such a drain checkpoints
+         the table it really left, like a damaged one. *)
       let dirty =
         List.exists (fun (_, e) -> is_dirty_failure e) final.Shard.failed
+        || (final.Shard.failed <> [] && Shard.dead_rows sh > 0)
       in
       t.commits_since_ckpt.(i) <- t.commits_since_ckpt.(i) + 1;
       if dirty || t.commits_since_ckpt.(i) >= checkpoint_every then

@@ -65,9 +65,17 @@ let set_fault t f = Agent.set_fault t.agent f
 let reset t rules =
   let fault = Agent.fault t.agent in
   let deadmap = Tcam.deadmap (Agent.tcam t.agent) in
+  let place ?deadmap () =
+    Agent.of_rules ?kind:t.kind ?latency:t.latency ?verify:t.verify ?deadmap
+      ~capacity:t.capacity rules
+  in
   t.agent <-
-    Agent.of_rules ?kind:t.kind ?latency:t.latency ?verify:t.verify ~deadmap
-      ~capacity:t.capacity rules;
+    (try place ~deadmap ()
+     with Invalid_argument _ when Fr_tcam.Deadmap.count deadmap > 0 ->
+       (* A rule that sat on a row before the row was found dead still
+          counts, so the table may not fit around the known holes: place
+          it as on fresh hardware and let the writes find them again. *)
+       place ());
   Agent.set_fault t.agent fault;
   Coalesce.clear t.queue
 

@@ -120,13 +120,15 @@ type t = {
   hw_op : Measure.Hist.t;
       (* modelled hardware ms per TCAM op, one sample per non-empty drain
          — the latency histogram the adaptive slow-call threshold reads *)
-  closure : Measure.Hist.t;
-      (* admission-closure sizes, one sample per admission *)
-  churn : Measure.Hist.t;
-      (* inserts + deletes per cache maintenance flush *)
+  cache_dists : cache_dists option;  (* only on the cache tier's telemetry *)
 }
 
-let create () =
+and cache_dists = {
+  closure : Measure.Hist.t;  (* admission-closure sizes, one per admission *)
+  churn : Measure.Hist.t;  (* inserts + deletes per maintenance flush *)
+}
+
+let create ?(cache = false) () =
   {
     submitted = 0;
     coalesced = 0;
@@ -165,8 +167,10 @@ let create () =
     wall = Measure.Hist.create ();
     ops = Measure.Hist.create ();
     hw_op = Measure.Hist.create ();
-    closure = Measure.Hist.create ();
-    churn = Measure.Hist.create ();
+    cache_dists =
+      (if cache then
+         Some { closure = Measure.Hist.create (); churn = Measure.Hist.create () }
+       else None);
   }
 
 let record_submitted t = t.submitted <- t.submitted + 1
@@ -197,7 +201,7 @@ let record_cache_miss t = t.cache_misses <- t.cache_misses + 1
 
 let record_cache_admission t ~rules =
   t.cache_admitted <- t.cache_admitted + rules;
-  Measure.Hist.record t.closure (float_of_int rules)
+  Option.iter (fun c -> Measure.Hist.record c.closure (float_of_int rules)) t.cache_dists
 
 let record_cache_eviction t ~rules = t.cache_evicted <- t.cache_evicted + rules
 let record_cache_admit_skip t = t.cache_admit_skips <- t.cache_admit_skips + 1
@@ -205,7 +209,9 @@ let record_cache_repair t = t.cache_repairs <- t.cache_repairs + 1
 
 let record_cache_flush t ~inserts ~deletes =
   t.cache_flushes <- t.cache_flushes + 1;
-  Measure.Hist.record t.churn (float_of_int (inserts + deletes))
+  Option.iter
+    (fun c -> Measure.Hist.record c.churn (float_of_int (inserts + deletes)))
+    t.cache_dists
 let record_rejected t n = t.rejected <- t.rejected + n
 
 let record_drain t ~queue_depth ~applied ~failed ~firmware_ms ~hardware_ms
@@ -267,8 +273,13 @@ let cache_hit_rate t =
   let total = t.cache_hits + t.cache_misses in
   if total = 0 then 0.0 else float_of_int t.cache_hits /. float_of_int total
 
-let cache_closure t = Measure.Hist.summary t.closure
-let cache_churn t = Measure.Hist.summary t.churn
+let cache_dist t f =
+  match t.cache_dists with
+  | Some c -> Measure.Hist.summary (f c)
+  | None -> Measure.summarize [||]
+
+let cache_closure t = cache_dist t (fun c -> c.closure)
+let cache_churn t = cache_dist t (fun c -> c.churn)
 
 let pp_buckets ppf h =
   List.iter

@@ -32,7 +32,10 @@ end
 
 type t
 
-val create : unit -> t
+val create : ?cache:bool -> unit -> t
+(** [~cache:true] (default [false]) is the cache tier's telemetry: only it
+    keeps the {!cache_closure} and {!cache_churn} distributions, which
+    stay empty elsewhere. *)
 
 (** {1 Recording (called by the shard)} *)
 

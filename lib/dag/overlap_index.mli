@@ -21,14 +21,13 @@
 
     {b Shape.}  Rules are kept in a path-compressed binary trie on the
     destination prefix; each node holds the rules whose destination
-    prefix is exactly its own, as four unboxed ints per rule (value and
-    care mask of the field's two 62-bit halves) beside the payloads, in
-    arrays with no spare capacity.  A query visits the nodes on its
-    destination's search path (ancestors) and the subtree below it
-    (descendants); every rule it visits is destination-compatible, and
-    the source test and the overlap test run on the flat ints, so a
-    rejected rule touches no {!Fr_tern.Rule.t}.  Rules of other widths
-    sit in a plain list that a query of their width scans.
+    prefix is exactly its own, in an array with no spare capacity.  A
+    query visits the nodes on its destination's search path (ancestors)
+    and the subtree below it (descendants); every rule it visits is
+    destination-compatible, and the source test and the overlap test run
+    on the rules' keys (the four ints {!Fr_tern.Rule.make} computes), so
+    a query allocates nothing.  Rules of other widths sit in a plain
+    list that a query of their width scans.
 
     The walk is proportional to the destination-compatible rules.  On
     the measured tables every rule with a destination shorter than /20

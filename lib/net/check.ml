@@ -28,7 +28,7 @@ module Model = struct
         | None ->
             invalid_arg
               (Printf.sprintf "Check.Model: set_action of missing rule %d" id)
-        | Some r -> Hashtbl.replace tbl id { r with action })
+        | Some r -> Hashtbl.replace tbl id (Rule.with_action r action))
     | Remove { id } ->
         if not (Hashtbl.mem tbl id) then
           invalid_arg

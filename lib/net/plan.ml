@@ -51,29 +51,39 @@ let flow_equal (a : Policy.flow) (b : Policy.flow) =
    path order and drop each mod into the first round where its node still
    has head-room.  Mods of one phase never depend on each other (no
    stamped packet can observe the phase in progress), so any placement is
-   sound; earliest-fit minimises the round count for the given batch. *)
+   sound; earliest-fit minimises the round count for the given batch.  A
+   node fills its rounds in order, so its [k]-th mod lands in round
+   [k / batch]. *)
 let pack_rounds ~batch mods =
-  let rounds : (int, Agent.flow_mod list) Hashtbl.t list ref = ref [] in
+  let placed = Hashtbl.create 64 and rounds = Hashtbl.create 16 in
+  let count = ref 0 in
   List.iter
     (fun (node, m) ->
-      let rec place = function
-        | [] ->
+      let k = Option.value (Hashtbl.find_opt placed node) ~default:0 in
+      Hashtbl.replace placed node (k + 1);
+      let r = k / batch in
+      if r >= !count then count := r + 1;
+      let tbl =
+        match Hashtbl.find_opt rounds r with
+        | Some tbl -> tbl
+        | None ->
             let tbl = Hashtbl.create 8 in
-            Hashtbl.replace tbl node [ m ];
-            rounds := !rounds @ [ tbl ]
-        | tbl :: rest -> (
-            match Hashtbl.find_opt tbl node with
-            | Some ms when List.length ms >= batch -> place rest
-            | Some ms -> Hashtbl.replace tbl node (m :: ms)
-            | None -> Hashtbl.replace tbl node [ m ])
+            Hashtbl.add rounds r tbl;
+            tbl
       in
-      place !rounds)
+      let ms = Option.value (Hashtbl.find_opt tbl node) ~default:[] in
+      Hashtbl.replace tbl node (m :: ms))
     mods;
-  List.map
-    (fun tbl ->
-      Hashtbl.fold (fun node ms acc -> (node, List.rev ms) :: acc) tbl []
-      |> List.sort compare)
-    !rounds
+  List.init !count (fun r ->
+      Hashtbl.fold (fun node ms acc -> (node, List.rev ms) :: acc) (Hashtbl.find rounds r) []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+
+(* A table of [(key, v)] pairs in which the first binding of a key wins,
+   as [List.assoc_opt] would find it. *)
+let table_of pairs =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun (k, v) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k v) pairs;
+  tbl
 
 let make ?(batch = 8) topo ~stamps ~old_policy ~new_policy =
   let ( let* ) = Result.bind in
@@ -84,7 +94,8 @@ let make ?(batch = 8) topo ~stamps ~old_policy ~new_policy =
   let* () =
     Result.map_error (fun e -> "new policy: " ^ e) (Policy.check topo new_policy)
   in
-  let stamp_of id = List.assoc_opt id stamps in
+  let stamp_tbl = table_of stamps in
+  let stamp_of id = Hashtbl.find_opt stamp_tbl id in
   let* () =
     let missing =
       List.find_opt
@@ -103,49 +114,42 @@ let make ?(batch = 8) topo ~stamps ~old_policy ~new_policy =
       p
   in
   let olds = sorted old_policy and news = sorted new_policy in
+  let old_of = table_of (List.map (fun (f : Policy.flow) -> (f.flow_id, f)) olds) in
+  let new_ids = table_of (List.map (fun (f : Policy.flow) -> (f.flow_id, ())) news) in
+  (* Per-flow mod lists, newest flow first; Remove mods only carry ids. *)
   let adds = ref [] and removes = ref [] and flips = ref [] in
+  let add (f : Policy.flow) ~version =
+    adds :=
+      List.map (fun (node, r) -> (node, Agent.Add r)) (Policy.hop_rules topo f ~version)
+      :: !adds
+  in
+  let remove (f : Policy.flow) ~version =
+    let id = Policy.rule_id ~flow_id:f.flow_id ~version in
+    removes := List.map (fun node -> (node, Agent.Remove { id })) f.path :: !removes
+  in
   List.iter
     (fun (nf : Policy.flow) ->
-      match Policy.find olds nf.flow_id with
+      match Hashtbl.find_opt old_of nf.flow_id with
       | Some old_f when flow_equal old_f nf -> ()
       | Some old_f ->
           let v = Option.get (stamp_of nf.flow_id) in
           let v' = 1 - v in
-          adds :=
-            !adds
-            @ List.map
-                (fun (node, r) -> (node, Agent.Add r))
-                (Policy.hop_rules topo nf ~version:v');
-          removes :=
-            !removes
-            @ List.map
-                (fun (node, (r : Fr_tern.Rule.t)) ->
-                  (node, Agent.Remove { id = r.id }))
-                (Policy.hop_rules topo old_f ~version:v);
+          add nf ~version:v';
+          remove old_f ~version:v;
           flips := (nf.flow_id, Some v') :: !flips
       | None ->
-          adds :=
-            !adds
-            @ List.map
-                (fun (node, r) -> (node, Agent.Add r))
-                (Policy.hop_rules topo nf ~version:0);
+          add nf ~version:0;
           flips := (nf.flow_id, Some 0) :: !flips)
     news;
   List.iter
     (fun (old_f : Policy.flow) ->
-      if Policy.find news old_f.flow_id = None then begin
-        let v = Option.get (stamp_of old_f.flow_id) in
-        removes :=
-          !removes
-          @ List.map
-              (fun (node, (r : Fr_tern.Rule.t)) ->
-                (node, Agent.Remove { id = r.id }))
-              (Policy.hop_rules topo old_f ~version:v);
+      if not (Hashtbl.mem new_ids old_f.flow_id) then begin
+        remove old_f ~version:(Option.get (stamp_of old_f.flow_id));
         flips := (old_f.flow_id, None) :: !flips
       end)
     olds;
-  let install = pack_rounds ~batch !adds in
-  let uninstall = pack_rounds ~batch !removes in
+  let install = pack_rounds ~batch (List.concat (List.rev !adds)) in
+  let uninstall = pack_rounds ~batch (List.concat (List.rev !removes)) in
   let flips = List.sort compare !flips in
   let rounds =
     List.map (fun b -> (Install, b, [])) install
@@ -158,10 +162,11 @@ let make ?(batch = 8) topo ~stamps ~old_policy ~new_policy =
         { index; kind; batches; stamp_changes })
       rounds
   in
+  let flip_of = table_of flips in
   let stamps_after =
     List.filter_map
       (fun (f : Policy.flow) ->
-        match List.assoc_opt f.flow_id flips with
+        match Hashtbl.find_opt flip_of f.flow_id with
         | Some v -> Option.map (fun v -> (f.flow_id, v)) v
         | None -> stamp_of f.flow_id |> Option.map (fun v -> (f.flow_id, v)))
       news
@@ -203,9 +208,10 @@ let inverse ?(upto = max_int) t =
      full rules are recomputed from the old policy — byte-identical to
      what the fleet held before the rollout. *)
   let old_rules = Hashtbl.create 64 in
+  let before = table_of t.stamps_before in
   List.iter
     (fun (f : Policy.flow) ->
-      let v = List.assoc f.flow_id t.stamps_before in
+      let v = Hashtbl.find before f.flow_id in
       List.iter
         (fun (node, (r : Fr_tern.Rule.t)) ->
           Hashtbl.replace old_rules (node, r.id) r)
@@ -252,14 +258,11 @@ let inverse ?(upto = max_int) t =
      flip every flipped ingress back per-flow-atomically, then strip the
      new version's installed state (no packet carries it any more).
      Every prefix instant stays consistent w.r.t. the original plan. *)
-  let before = List.sort compare t.stamps_before in
   let flip_back =
     match !flipped with
     | None -> []
     | Some changes ->
-        List.map
-          (fun (fid, _) -> (fid, List.assoc_opt fid before))
-          changes
+        List.map (fun (fid, _) -> (fid, Hashtbl.find_opt before fid)) changes
         |> List.sort compare
   in
   let rounds =
@@ -283,7 +286,7 @@ let inverse ?(upto = max_int) t =
     new_policy = t.old_policy;
     batch = t.batch;
     stamps_before = stamps_at t ~upto;
-    stamps_after = before;
+    stamps_after = t.stamps_before;
     rounds;
   }
 

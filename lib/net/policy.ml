@@ -104,6 +104,23 @@ let find all id = List.find_opt (fun f -> f.flow_id = id) all
 let check topo policy =
   let ( let* ) = Result.bind in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  (* Flows by id and by prefix, each bucket in policy order with its
+     position, so a clash is found without comparing every pair. *)
+  let prefix_key f = (f.plen, prefix_bits ~plen:f.plen f.dst_value) in
+  let by_id = Hashtbl.create 64 and by_prefix = Hashtbl.create 64 in
+  let push tbl k entry =
+    Hashtbl.replace tbl k (entry :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
+  in
+  List.iteri
+    (fun i f ->
+      push by_id f.flow_id (i, f);
+      push by_prefix (prefix_key f) (i, f))
+    policy;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) by_id;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) by_prefix;
+  let first_other tbl k f =
+    List.find_opt (fun (_, g) -> g != f) (Hashtbl.find tbl k)
+  in
   let rec each = function
     | [] -> Ok ()
     | f :: rest ->
@@ -146,16 +163,15 @@ let check topo policy =
           | _ -> Ok ()
         in
         let* () =
-          match
-            List.find_opt
-              (fun g ->
-                g != f
-                && (g.flow_id = f.flow_id
-                   || (g.plen = f.plen
-                      && prefix_bits ~plen:f.plen g.dst_value
-                         = prefix_bits ~plen:f.plen f.dst_value)))
-              policy
-          with
+          (* The first other flow in policy order that shares the id or
+             the prefix. *)
+          let clash =
+            match (first_other by_id f.flow_id f, first_other by_prefix (prefix_key f) f) with
+            | Some (i, g), Some (j, h) -> Some (if i <= j then g else h)
+            | Some (_, g), None | None, Some (_, g) -> Some g
+            | None, None -> None
+          in
+          match clash with
           | Some g ->
               if g.flow_id = f.flow_id then err "duplicate flow id %d" f.flow_id
               else

@@ -275,7 +275,7 @@ let rec apply t fm =
                   size * Fr_tcam.Deadmap.threshold (Tcam.deadmap t.tcam)
                 in
                 let rec readd attempt =
-                  match apply t (Add { rule with Rule.action }) with
+                  match apply t (Add (Rule.with_action rule action)) with
                   | Ok () -> Ok ()
                   | Error e when is_fault e && attempt < budget ->
                       readd (attempt + 1)
@@ -289,7 +289,7 @@ let rec apply t fm =
           match commit t ops with
           | Error _ as e -> e
           | Ok () ->
-              let updated = { rule with Rule.action } in
+              let updated = Rule.with_action rule action in
               Hashtbl.replace t.store id updated;
               Overlap_index.add t.index updated;
               (* Rebind after the write commits: the snapshot carrying the

@@ -5,14 +5,13 @@ type slot = Free | Used of int
 
 (* Slots live in leaves of [chunk] slots under [fan]-way interior nodes.
    A chunk holds each slot's payload and its match key, four unboxed ints
-   per slot: value and care mask of the field's low and high 62-bit
-   halves.  An empty subtree is the constant [Empty], so free space costs
-   one word per interior pointer and the lookup scan skips it. *)
+   per slot copied from the rule's own key ([lo_value] .. [hi_mask] of
+   [Rule.t]).  An empty subtree is the constant [Empty], so free space
+   costs one word per interior pointer and the lookup scan skips it. *)
 let chunk_bits = 4
 let chunk = 1 lsl chunk_bits
 let fan_bits = 5
 let fan = 1 lsl fan_bits
-let half_mask = (1 lsl 62) - 1
 
 type node =
   | Empty
@@ -37,37 +36,16 @@ let is_bound (r : Rule.t) = r.Rule.field != hollow
 (* [lo land m = v] fails for any [lo] when [v] is negative. *)
 let never = min_int
 let empty_keys = Array.init (4 * chunk) (fun j -> if j land 3 = 0 then never else 0)
-let lo_half c = Int64.to_int c land half_mask
-
-let hi_half c0 c1 =
-  (Int64.to_int (Int64.shift_right_logical c0 62) lor (Int64.to_int c1 lsl 2))
-  land half_mask
 
 let set_key keys i (r : Rule.t) =
   let b = 4 * i in
-  if not (is_bound r) then begin
-    keys.(b) <- never;
-    keys.(b + 1) <- 0;
-    keys.(b + 2) <- 0;
-    keys.(b + 3) <- 0
+  if is_bound r then begin
+    keys.(b) <- r.lo_value;
+    keys.(b + 1) <- r.lo_mask;
+    keys.(b + 2) <- r.hi_value;
+    keys.(b + 3) <- r.hi_mask
   end
-  else begin
-    let v, m = Ternary.unsafe_chunks r.Rule.field in
-    let get a k = if k < Array.length a then a.(k) else 0L in
-    let v0 = get v 0 and v1 = get v 1 in
-    let m0 = get m 0 and m1 = get m 1 in
-    (* Packets are 104 bits wide, so a position from 124 up is always 0:
-       a field requiring a 1 there matches nothing, and the halves cover
-       every other position exactly. *)
-    let beyond = ref (Int64.shift_right_logical v1 60 <> 0L) in
-    for k = 2 to Array.length v - 1 do
-      if v.(k) <> 0L then beyond := true
-    done;
-    keys.(b) <- (if !beyond then never else lo_half v0);
-    keys.(b + 1) <- lo_half m0;
-    keys.(b + 2) <- hi_half v0 v1;
-    keys.(b + 3) <- hi_half m0 m1
-  end
+  else Array.blit empty_keys b keys b 4
 
 let rec levels_for size span =
   if span >= size then 0 else 1 + levels_for size (span * fan)
@@ -236,8 +214,9 @@ and scan_kids kids lo hi i =
     if r != vacant then r else scan_kids kids lo hi (i - 1)
 
 let lookup t packet =
-  let bits = Fr_tern.Header.packet_bits packet in
-  let r = scan t.root (lo_half bits.(0)) (hi_half bits.(0) bits.(1)) in
+  let r =
+    scan t.root (Fr_tern.Header.packet_lo packet) (Fr_tern.Header.packet_hi packet)
+  in
   if r == vacant then None else Some r
 
 let lookup_id t packet =

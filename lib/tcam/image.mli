@@ -4,8 +4,9 @@
     An [Image.t] is a copy-on-write trie over fixed-size chunks of flat
     arrays.  A chunk holds 16 consecutive slots: each slot's rule payload
     and its match key, packed unboxed as four [int]s (value and care mask
-    of the match field's low and high 62-bit halves).  Interior nodes fan
-    out 32 ways, and a subtree without entries is one shared constant.
+    of the match field's low and high 62-bit halves, copied from the
+    rule's own key).  Interior nodes fan out 32 ways, and a subtree
+    without entries is one shared constant.
     Deriving the next image after a hardware op copies one chunk plus the
     O(log{_32} n) interior nodes above it and shares everything else, so
     a write allocates a bounded number of words at any table size.

@@ -140,11 +140,7 @@ let lowest_free t =
   go 0
 
 let lookup t ~rules packet =
-  let bits = Fr_tern.Header.packet_bits packet in
-  match
-    Image.find_last t.image (fun id ->
-        Fr_tern.Ternary.matches_value (rules id).Fr_tern.Rule.field bits)
-  with
+  match Image.find_last t.image (fun id -> Fr_tern.Rule.matches_packet (rules id) packet) with
   | Some addr -> ( match read t addr with Used id -> Some id | Free -> None)
   | None -> None
 

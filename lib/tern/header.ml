@@ -27,9 +27,7 @@ let pack f =
   check_width "src_port" 16 f.src_port;
   check_width "dst_port" 16 f.dst_port;
   check_width "proto" 8 f.proto;
-  Ternary.concat f.src_ip
-    (Ternary.concat f.dst_ip
-       (Ternary.concat f.src_port (Ternary.concat f.dst_port f.proto)))
+  Ternary.concat_list [ f.src_ip; f.dst_ip; f.src_port; f.dst_port; f.proto ]
 
 let unpack t =
   if Ternary.width t <> total_width then
@@ -59,25 +57,31 @@ type packet = {
   p_proto : int;
 }
 
-let set_bits chunks ~lo ~len v =
-  for i = 0 to len - 1 do
-    if Int64.logand (Int64.shift_right_logical v i) 1L = 1L then begin
-      let pos = lo + i in
-      let c = pos / 64 and b = pos land 63 in
-      chunks.(c) <- Int64.logor chunks.(c) (Int64.shift_left 1L b)
-    end
-  done
-
-let packet_bits p =
-  let chunks = Array.make 2 0L in
-  set_bits chunks ~lo:0 ~len:8 (Int64.of_int p.p_proto);
-  set_bits chunks ~lo:8 ~len:16 (Int64.of_int p.p_dst_port);
-  set_bits chunks ~lo:24 ~len:16 (Int64.of_int p.p_src_port);
-  set_bits chunks ~lo:40 ~len:32 p.p_dst_ip;
-  set_bits chunks ~lo:72 ~len:32 p.p_src_ip;
-  chunks
-
 let mask32 = 0xFFFFFFFFL
+
+(* Each field keeps only its own width, as a packet on the wire would. *)
+let packet_bits p =
+  let ip v = Int64.logand v mask32 in
+  let low v bits = Int64.of_int (v land ((1 lsl bits) - 1)) in
+  let dst = ip p.p_dst_ip in
+  [|
+    Int64.logor
+      (Int64.logor (low p.p_proto 8) (Int64.shift_left (low p.p_dst_port 16) 8))
+      (Int64.logor
+         (Int64.shift_left (low p.p_src_port 16) 24)
+         (Int64.shift_left dst 40));
+    Int64.logor (Int64.shift_right_logical dst 24) (Int64.shift_left (ip p.p_src_ip) 8);
+  |]
+
+let packet_lo p =
+  p.p_proto land 0xFF
+  lor ((p.p_dst_port land 0xFFFF) lsl 8)
+  lor ((p.p_src_port land 0xFFFF) lsl 24)
+  lor ((Int64.to_int p.p_dst_ip land 0x3F_FFFF) lsl 40)
+
+let packet_hi p =
+  ((Int64.to_int p.p_dst_ip lsr 22) land 0x3FF)
+  lor ((Int64.to_int p.p_src_ip land 0xFFFF_FFFF) lsl 10)
 
 let random_packet rng =
   {
@@ -88,15 +92,14 @@ let random_packet rng =
     p_proto = Fr_prng.Rng.int rng 256;
   }
 
+(* The [len] (at most 32) positions from [lo] up. *)
 let bits_in chunks ~lo ~len =
-  let v = ref 0L in
-  for i = len - 1 downto 0 do
-    let pos = lo + i in
-    let c = pos / 64 and b = pos land 63 in
-    let bit = Int64.logand (Int64.shift_right_logical chunks.(c) b) 1L in
-    v := Int64.logor (Int64.shift_left !v 1) bit
-  done;
-  !v
+  let c = lo lsr 6 and b = lo land 63 in
+  let w = Int64.shift_right_logical chunks.(c) b in
+  let w =
+    if b + len > 64 then Int64.logor w (Int64.shift_left chunks.(c + 1) (64 - b)) else w
+  in
+  Int64.logand w (Int64.sub (Int64.shift_left 1L len) 1L)
 
 let packet_in rng field =
   if Ternary.width field <> total_width then

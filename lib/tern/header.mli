@@ -43,7 +43,16 @@ type packet = {
 
 val packet_bits : packet -> int64 array
 (** Pack a packet into chunks compatible with {!Ternary.matches_value} on a
-    104-bit match field. *)
+    104-bit match field.  Each field contributes only its low bits (32
+    for addresses, 16 for ports, 8 for the protocol). *)
+
+val packet_lo : packet -> int
+(** Positions 0..61 of {!packet_bits} as one unboxed int: the low half of
+    the split {!Rule.t} keys use.  Allocates nothing. *)
+
+val packet_hi : packet -> int
+(** Positions 62..123 of {!packet_bits} (all from 104 up are 0): the
+    high half. *)
 
 val random_packet : Fr_prng.Rng.t -> packet
 (** Uniform random header. *)

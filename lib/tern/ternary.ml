@@ -80,46 +80,91 @@ let set t i bit =
       mask.(c) <- Int64.logor mask.(c) b);
   check_invariant { t with value; mask }
 
+(* Builds a value chunk by chunk: [bit c b] is the position [64c + b],
+   and each chunk is accumulated in a local word before it is stored. *)
+let build w bit =
+  let n = chunks_for w in
+  let value = Array.make n 0L and mask = Array.make n 0L in
+  for c = 0 to n - 1 do
+    let v = ref 0L and m = ref 0L in
+    for b = 0 to min 63 (w - 1 - (64 * c)) do
+      match bit c b with
+      | Any -> ()
+      | Zero -> m := Int64.logor !m (Int64.shift_left 1L b)
+      | One ->
+          let one = Int64.shift_left 1L b in
+          v := Int64.logor !v one;
+          m := Int64.logor !m one
+    done;
+    value.(c) <- !v;
+    mask.(c) <- !m
+  done;
+  check_invariant { width = w; value; mask }
+
 let of_string s =
   let w = String.length s in
   if w = 0 then invalid_arg "Ternary.of_string: empty string";
-  let t = ref (any w) in
-  String.iteri
-    (fun pos ch ->
-      (* Leftmost character = most significant position (w - 1 - pos). *)
-      let i = w - 1 - pos in
-      match ch with
-      | '0' -> t := set !t i Zero
-      | '1' -> t := set !t i One
-      | '*' -> ()
+  (* Leftmost character = most significant position. *)
+  build w (fun c b ->
+      match s.[w - 1 - ((64 * c) + b)] with
+      | '0' -> Zero
+      | '1' -> One
+      | '*' -> Any
       | _ -> invalid_arg "Ternary.of_string: expected '0', '1' or '*'")
-    s;
-  !t
 
 let to_string t =
   String.init t.width (fun pos ->
       match get t (t.width - 1 - pos) with Zero -> '0' | One -> '1' | Any -> '*')
 
+(* The [len] (1..64) positions of chunk vector [a] from [lo] up, in the
+   low bits of one word. *)
+let extract a ~lo ~len =
+  let c = lo lsr 6 and b = lo land 63 in
+  let w = Int64.shift_right_logical a.(c) b in
+  let w =
+    if b > 0 && c + 1 < Array.length a then
+      Int64.logor w (Int64.shift_left a.(c + 1) (64 - b))
+    else w
+  in
+  Int64.logand w (tail_mask len)
+
+(* OR the chunks of [src] into [dst] from position [lo] up; [dst] must
+   be wide enough for every position [src] sets. *)
+let deposit src dst ~lo =
+  let b = lo land 63 in
+  Array.iteri
+    (fun j w ->
+      if w <> 0L then begin
+        let c = (lo lsr 6) + j in
+        dst.(c) <- Int64.logor dst.(c) (Int64.shift_left w b);
+        if b > 0 && c + 1 < Array.length dst then
+          dst.(c + 1) <- Int64.logor dst.(c + 1) (Int64.shift_right_logical w (64 - b))
+      end)
+    src
+
 let slice t ~lo ~len =
   if lo < 0 || len <= 0 || lo + len > t.width then invalid_arg "Ternary.slice: out of range";
-  let r = ref (any len) in
-  for i = 0 to len - 1 do
-    match get t (lo + i) with
-    | Any -> ()
-    | b -> r := set !r i b
-  done;
-  !r
+  let part a k = extract a ~lo:(lo + (64 * k)) ~len:(min 64 (len - (64 * k))) in
+  let n = chunks_for len in
+  check_invariant
+    { width = len; value = Array.init n (part t.value); mask = Array.init n (part t.mask) }
 
-let concat hi lo =
-  let w = hi.width + lo.width in
-  let r = ref (any w) in
-  for i = 0 to lo.width - 1 do
-    match get lo i with Any -> () | b -> r := set !r i b
-  done;
-  for i = 0 to hi.width - 1 do
-    match get hi i with Any -> () | b -> r := set !r (lo.width + i) b
-  done;
-  !r
+let concat_list parts =
+  let width = List.fold_left (fun acc p -> acc + p.width) 0 parts in
+  if width = 0 then invalid_arg "Ternary.concat_list: no parts";
+  let n = chunks_for width in
+  let value = Array.make n 0L and mask = Array.make n 0L in
+  (* The last part is the least significant. *)
+  ignore
+    (List.fold_right
+       (fun p lo ->
+         deposit p.value value ~lo;
+         deposit p.mask mask ~lo;
+         lo + p.width)
+       parts 0);
+  check_invariant { width; value; mask }
+
+let concat hi lo = concat_list [ hi; lo ]
 
 let is_exact t =
   let n = Array.length t.mask in
@@ -215,12 +260,12 @@ let matches_value t v =
   !ok
 
 let random rng ~width:w ~wildcard_prob =
-  let t = ref (any w) in
-  for i = 0 to w - 1 do
-    if not (Fr_prng.Rng.chance rng wildcard_prob) then
-      t := set !t i (if Fr_prng.Rng.bool rng then One else Zero)
-  done;
-  !t
+  if w <= 0 then invalid_arg "Ternary.random: width must be positive";
+  (* Draws run from position 0 up, one chance and maybe one coin each. *)
+  build w (fun _ _ ->
+      if Fr_prng.Rng.chance rng wildcard_prob then Any
+      else if Fr_prng.Rng.bool rng then One
+      else Zero)
 
 let random_exact_in rng t =
   let n = Array.length t.value in

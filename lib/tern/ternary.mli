@@ -7,7 +7,9 @@
     graph is built from.
 
     Internally a ternary string is a pair of bit vectors (value, care-mask)
-    packed into [int64] chunks; all set operations are O(w/64). *)
+    packed into [int64] chunks; all set operations are O(w/64), and the
+    constructors ([of_string], [concat], [slice], [random]) fill whole
+    chunks and check the representation invariant once per value. *)
 
 type t
 
@@ -52,6 +54,11 @@ val concat : t -> t -> t
 (** [concat hi lo] glues two strings; [hi]'s positions become the most
     significant part of the result.  Used to assemble multi-field
     OpenFlow match fields. *)
+
+val concat_list : t list -> t
+(** [concat_list parts] glues the parts in one pass, the first part
+    most significant; [concat hi lo = concat_list [hi; lo]].
+    @raise Invalid_argument on an empty list. *)
 
 val slice : t -> lo:int -> len:int -> t
 (** [slice t ~lo ~len] extracts positions [lo .. lo+len-1]. *)

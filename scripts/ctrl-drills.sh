@@ -76,6 +76,17 @@ for args in "-s 0" "-c 0" "-b 0" "--domains 0" "--dead-frac 1" \
   [ "$status" -eq 2 ] || fail "ctrl $args: expected exit 2, got $status"
 done
 
+echo "== a preload that does not fit the TCAM is a usage error (exit 2) =="
+for args in "ctrl -k fw5 -s 1 -n 1000 -c 100 -u 10" \
+  "conform -n 200 --capacity 50" "plane -n 2000 --capacity 100"; do
+  status=0
+  # shellcheck disable=SC2086
+  "$CLI" $args >/dev/null 2>"$TMP/preload.err" || status=$?
+  [ "$status" -eq 2 ] || fail "$args: expected exit 2, got $status"
+  grep -q 'rules do not load into' "$TMP/preload.err" \
+    || fail "$args: the message does not name the rules and the TCAM"
+done
+
 echo "== degraded TCAM (10% dead rows: discovered, nothing shed) =="
 out=$("$CLI" ctrl -k acl4 -s 3 -n 300 -c 200 -u 1200 -b 32 \
   --failover --dead-frac 0.10 --seed 7)

@@ -145,7 +145,9 @@ let test_coalesce_keeps_later_action () =
   Coalesce.clear q;
   (* Remove (installed) then Add of a *different* replacement rule: the
      replace must re-insert the new rule, new action included. *)
-  let replacement = { r with Rule.action = Rule.Forward 13; priority = 30 } in
+  let replacement =
+    Rule.make ~id:r.Rule.id ~field:r.Rule.field ~action:(Rule.Forward 13) ~priority:30
+  in
   check "remove queued" true
     (Coalesce.push q ~installed:true (Agent.Remove { id = 7 }) = Coalesce.Queued);
   check "add folds to replace" true
@@ -332,7 +334,7 @@ let test_telemetry_roundtrip () =
    depend on wall-clock readings). *)
 let test_telemetry_memory_bounded () =
   let words ~drains ~ms =
-    let t = Telemetry.create () in
+    let t = Telemetry.create ~cache:true () in
     for i = 1 to drains do
       Telemetry.record_drain t ~queue_depth:i ~applied:1 ~failed:0
         ~firmware_ms:ms ~hardware_ms:(ms *. 2.0) ~tcam_ops:(i mod 7)
@@ -345,7 +347,10 @@ let test_telemetry_memory_bounded () =
   check_int "10 vs 100,000 drains" (words ~drains:10 ~ms:0.6)
     (words ~drains:100_000 ~ms:0.6);
   check_int "tiny vs huge values" (words ~drains:100 ~ms:1e-12)
-    (words ~drains:100 ~ms:1e12)
+    (words ~drains:100 ~ms:1e12);
+  let fresh cache = Obj.reachable_words (Obj.repr (Telemetry.create ~cache ())) in
+  check "a shard's telemetry keeps no cache histograms" true
+    (fresh false < fresh true - 1000)
 
 let suite =
   [

@@ -195,7 +195,7 @@ let test_readd_swaps_payload () =
   let idx = Overlap_index.create () in
   Array.iter (Overlap_index.add idx) rules;
   let r = rules.(5) in
-  Overlap_index.add idx { r with Rule.action = Rule.Controller };
+  Overlap_index.add idx (Rule.with_action r Rule.Controller);
   check_int "length unchanged" 80 (Overlap_index.length idx);
   let seen = ref [] in
   Overlap_index.iter_candidates idx r (fun c -> if c.Rule.id = r.Rule.id then seen := c :: !seen);

@@ -826,6 +826,20 @@ let test_route_law_coverage () =
       ("crash + recover", sum (fun t -> t.recoveries));
     ]
 
+(* Two pinned plans.  Seed 8538: a rebalance's Add on a home shard with
+   dead rows failed for want of room and was committed; replay after a
+   crash ran it on hardware without the dead rows, where it landed, and
+   left rule 101 on both shards.  Seed 8077 restarts a shard whose
+   checkpoint holds a rule on a row found dead later, so the table does
+   not fit around the known dead rows. *)
+let test_route_law_pinned () =
+  List.iter
+    (fun (seed, steps) ->
+      let t = route_law_plan ~seed ~shards:2 ~dead:true ~steps in
+      check (Printf.sprintf "seed %d recovered" seed) true (t.recoveries > 0);
+      check (Printf.sprintf "seed %d restarted" seed) true (t.restarts > 0))
+    [ (8538, 239); (8077, 204) ]
+
 let suite =
   [
     ( "resil",
@@ -860,5 +874,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_route_law;
         Alcotest.test_case "route law plans cover every fault" `Quick
           test_route_law_coverage;
+        Alcotest.test_case "route law pinned plans" `Quick test_route_law_pinned;
       ] );
   ]
