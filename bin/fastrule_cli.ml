@@ -1614,31 +1614,10 @@ let net_cmd =
              @ [
                  ("mode", J.Str "rollout");
                  ("algo", J.Str (Net.kind_name fleet));
-                 ("completed", J.Bool report.Net.completed);
-                 ("outcome", J.Str (Net.outcome_to_string report.Net.outcome));
                  ("converged", J.Bool (Result.is_ok converged));
-                 ("applied", J.Int report.Net.applied);
-                 ("failed", J.Int report.Net.failed);
-                 ("retried", J.Int report.Net.retried);
-                 ("quarantines", J.Int report.Net.quarantines);
-                 ("recovered", J.Int report.Net.recovered);
-                 ("backoff_ms", J.Float report.Net.backoff_ms);
                  ("faults", J.List (List.map (fun s -> J.Str s) fault_specs));
-                 ("wall_ms", J.Float report.Net.wall_ms);
-                 ( "per_round",
-                   J.List
-                     (List.map
-                        (fun (s : Net.round_stat) ->
-                          J.Obj
-                            [
-                              ("index", J.Int s.Net.r_index);
-                              ("kind", J.Str (Net_plan.kind_to_string s.Net.r_kind));
-                              ("switches", J.Int s.Net.r_switches);
-                              ("mods", J.Int s.Net.r_mods);
-                              ("wall_ms", J.Float s.Net.r_wall_ms);
-                            ])
-                        report.Net.per_round) );
-               ])))
+               ]
+             @ Net.report_json report)))
       json;
     (* a converged rollout is completed or aborted; a completed one must
        also leave no flow-mod failed *)
@@ -1744,9 +1723,9 @@ let net_cmd =
       value & opt_all string []
       & info [ "node-fault" ] ~docv:"SPEC"
           ~doc:"Inject a per-switch fault (repeatable): \
-                $(b,NODE:crash\\@ROUND)[$(b,+mid)], \
-                $(b,NODE:slow\\@ROUND=MS)[$(b,x)$(i,HEAL)] or \
-                $(b,NODE:stuck\\@ROUND=SHARD:A+B).  Crash faults need \
+                $(b,NODE:crash@ROUND)[$(b,+mid)], \
+                $(b,NODE:slow@ROUND=MS)[$(b,x)$(i,HEAL)] or \
+                $(b,NODE:stuck@ROUND=SHARD:A+B).  Crash faults need \
                 $(b,--journal).")
   in
   let abort_at_arg =

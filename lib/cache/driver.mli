@@ -71,8 +71,8 @@ val run :
     verifies every hit against the backing scan as it happens; [probes]
     (default 8, oracle mode only) is how many extra packets are probed
     at each flush boundary, half re-drawn from the flow universe and
-    half uniformly random.  [check:false] with [probes:0] is bench mode
-    — no oracle overhead. *)
+    half uniformly random.  [check:false] ([cache --no-check]) runs the
+    tier with no oracle overhead. *)
 
 val run_all :
   ?domains:int -> ?probes:int -> spec -> result list

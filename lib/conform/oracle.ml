@@ -36,7 +36,6 @@ let pp_divergence ppf d =
 
 type config = {
   probes : int;
-  verify : bool;
   record : bool;
   sabotage : (string * Sabotage.mode) list;
   fault_prob : float;
@@ -47,7 +46,6 @@ type config = {
 let default_config =
   {
     probes = 8;
-    verify = true;
     record = false;
     sabotage = [];
     fault_prob = 0.;
@@ -67,13 +65,11 @@ type column = {
 type report = {
   trace : Trace.t;
   columns : column list;
-  events_run : int;
   probes_run : int;
   divergences : divergence list;
   checked_ops : int;
   snapshots_checked : int;
   verify_ms : float;
-  wall_ms : float;
 }
 
 let clean r =
@@ -170,7 +166,7 @@ let run ?(config = default_config) (trace : Trace.t) =
       recorder ~slot:emitted ~cur base
     in
     let agent =
-      Agent.of_rules ~kind ~scheduler ~verify:config.verify
+      Agent.of_rules ~kind ~scheduler ~verify:true
         ~capacity:trace.Trace.capacity preload
     in
     (if config.fault_prob > 0. && fault_tolerant kind then
@@ -193,7 +189,7 @@ let run ?(config = default_config) (trace : Trace.t) =
       dead = None;
     }
   in
-  let lanes, setup_ms = Measure.time_ms (fun () -> List.map make_lane kinds) in
+  let lanes = List.map make_lane kinds in
   (* probe stream: second split of the trace seed (the first is the event
      stream the generator consumed) *)
   let root = Rng.create ~seed:trace.Trace.seed in
@@ -418,7 +414,7 @@ let run ?(config = default_config) (trace : Trace.t) =
                 recorded)
       trace.Trace.recordings
   in
-  let (), body_ms = Measure.time_ms body in
+  body ();
   let columns =
     List.map
       (fun lane ->
@@ -450,13 +446,11 @@ let run ?(config = default_config) (trace : Trace.t) =
   {
     trace;
     columns;
-    events_run = n_events;
     probes_run = !probes_run;
     divergences = List.rev !divergences;
     checked_ops;
     snapshots_checked = !snapshots_checked;
     verify_ms;
-    wall_ms = setup_ms +. body_ms;
   }
 
 (* -- service-level fault lanes ----------------------------------------- *)

@@ -48,11 +48,6 @@ val pp_divergence : Format.formatter -> divergence -> unit
 
 type config = {
   probes : int;  (** packets sampled per event (default 8) *)
-  verify : bool;
-      (** shadow-table check on every sequence (default [true]; turn off
-          only to baseline the check's overhead on trusted schedulers —
-          a saboteur without the net crashes its agent, which the oracle
-          reports as a divergence but cannot localise) *)
   record : bool;  (** embed each scheduler's emissions in the report trace *)
   sabotage : (string * Fr_sched.Sabotage.mode) list;
       (** mangle these schedulers (by kind name, e.g. ["fr-o"]) — the
@@ -63,7 +58,7 @@ type config = {
 }
 
 val default_config : config
-(** 8 probes, verify on, no recording, no sabotage, no faults. *)
+(** 8 probes, no recording, no sabotage, no faults. *)
 
 type column = {
   scheduler : string;
@@ -78,7 +73,6 @@ type column = {
 type report = {
   trace : Trace.t;  (** input trace, with recordings when [record] *)
   columns : column list;  (** per scheduler, trace order *)
-  events_run : int;
   probes_run : int;  (** total packets probed (per agent) *)
   divergences : divergence list;
   checked_ops : int;  (** ops through {!Fr_sched.Check.sequence}, summed *)
@@ -86,7 +80,6 @@ type report = {
       (** published mid-cascade images held to the pre-or-post law, summed
           over lanes and events *)
   verify_ms : float;  (** wall-clock inside the check, summed *)
-  wall_ms : float;
 }
 
 val clean : report -> bool

@@ -1,5 +1,5 @@
-(** A reusable multi-shard churn scenario — the control-plane workload the
-    bench harness and the CLI both drive.
+(** A reusable multi-shard churn scenario — the control-plane workload
+    that [fastrule_cli ctrl], the plane storm and the tests drive.
 
     The stream models BGP-style update churn against a warm table: a
     synthetic policy ({!Fr_workload.Dataset}) is partitioned across the

@@ -98,7 +98,7 @@ val default_domains : unit -> int
 (** The [domains] value constructors use when the caller passes none:
     the [FASTRULE_DOMAINS] environment variable if it parses as a
     positive integer, else [1].  The library never grabs extra cores
-    uninvited — the CLI and bench default to
+    uninvited — the CLI defaults to
     {!Fr_exec.Pool.recommended} explicitly. *)
 
 val journal_unused : dir:string -> (unit, string) result

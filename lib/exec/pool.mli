@@ -89,4 +89,4 @@ val shared : workers:int -> t
 
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()], floored at 1 — the default for
-    [--domains] in the CLI and bench harness. *)
+    [--domains] in the CLI. *)

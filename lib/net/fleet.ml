@@ -1345,3 +1345,30 @@ let pp_report ppf r =
         (Plan.kind_to_string s.r_kind)
         s.r_switches s.r_mods s.r_wall_ms)
     r.per_round
+
+let report_json r =
+  let module J = Fr_ctrl.Telemetry.Json in
+  [
+    ("completed", J.Bool r.completed);
+    ("outcome", J.Str (outcome_to_string r.outcome));
+    ("applied", J.Int r.applied);
+    ("failed", J.Int r.failed);
+    ("retried", J.Int r.retried);
+    ("quarantines", J.Int r.quarantines);
+    ("recovered", J.Int r.recovered);
+    ("backoff_ms", J.Float r.backoff_ms);
+    ("wall_ms", J.Float r.wall_ms);
+    ( "per_round",
+      J.List
+        (List.map
+           (fun s ->
+             J.Obj
+               [
+                 ("index", J.Int s.r_index);
+                 ("kind", J.Str (Plan.kind_to_string s.r_kind));
+                 ("switches", J.Int s.r_switches);
+                 ("mods", J.Int s.r_mods);
+                 ("wall_ms", J.Float s.r_wall_ms);
+               ])
+           r.per_round) );
+  ]

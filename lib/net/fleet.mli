@@ -232,6 +232,13 @@ val resume : ?probe:probe -> recovery -> report
 
 val pp_report : Format.formatter -> report -> unit
 
+val report_json : report -> (string * Fr_ctrl.Telemetry.Json.v) list
+(** The report's JSON fields: [completed], [outcome], the counters,
+    [wall_ms] and [per_round] (each round's [index], [kind], [switches],
+    [mods] and [wall_ms]).  The two [wall_ms] keys are the only
+    wall-clock ones: the rest is a function of the plan, the seed and
+    the faults, whatever the domain count. *)
+
 (** {1 Offline journal inspection} *)
 
 type rollout_stat = {

@@ -4,7 +4,7 @@
     roots and /24 children nested inside them, so the per-switch
     dependency graphs have real edges), the paths, the waypoints, and
     which flows the new policy reroutes, withdraws or introduces.  The
-    CLI, the bench sweep and the conformance oracle all build their
+    CLI, the rollout benchmark and the conformance oracle all build their
     fixtures here, so a failing seed reproduces everywhere. *)
 
 type t = {

@@ -176,7 +176,7 @@ val mods_applied : t -> int
 val verify_ms_total : t -> float
 (** Wall-clock spent in {!Fr_sched.Check.sequence} (0 unless
     [verify = true]) — the price of the safety net, reported separately
-    from firmware time so the conformance bench can quote verification
+    from firmware time so the conformance report can quote verification
     overhead honestly. *)
 
 val verified_ops : t -> int

@@ -40,7 +40,7 @@ type spec = {
   slow_ms : float;
 }
 (** A plan's shape without its PRNG — the serialisable half, so fault
-    plans can cross the CLI/bench boundary as strings. *)
+    plans can cross the CLI boundary as strings. *)
 
 val of_spec : spec -> seed:int -> t
 (** @raise Invalid_argument as {!create}. *)

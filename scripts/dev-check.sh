@@ -37,6 +37,9 @@ dune build @plane
 echo "== dune build @scale (overlap-index candidates within 10x overlaps at 64k rules) =="
 dune build @scale
 
+echo "== dune build @paper (bench --quick table2 and fig8 stdout = committed files) =="
+dune build @paper
+
 echo "== perfbench smoke (serve; its backend check fails any wrong lookup) =="
 python3 perfbench/run.py --workload serve --seed 1 --seconds 3 --trace 0 >/dev/null
 

@@ -4,9 +4,10 @@
 # byte-identical under --domains 1 and 4; the seeded chaos certification,
 # whose fingerprint must not depend on the domain count; the abort drill,
 # whose post-rollback checkpoints must equal the pre-rollout ones; the
-# oracle under a wedging fault (exit 1); and the usage errors (exit 2),
-# among them stuck faults on a shard or row the switch does not have.  Run through the alias, which builds the CLI
-# first:
+# oracle under a wedging fault (exit 1); the usage errors (exit 2),
+# among them stuck faults on a shard or row the switch does not have;
+# and every command's --help rendering.  Run through the alias, which
+# builds the CLI first:
 #
 #   dune build @net-drills
 #
@@ -102,5 +103,19 @@ for mode in "" --oracle; do
   expect_exit 2 $mode --nodes 3 --flows 3 --node-fault 0:stuck@1=9:1+2
   expect_exit 2 $mode --nodes 3 --flows 3 --node-fault 0:stuck@0=0:1+999999
 done
+
+# Every command's help must render without a cmdliner markup error (an
+# unknown escape is reported on stderr and drops the character), and the
+# fault syntax in net's help must come out whole.
+echo "== --help=plain renders cleanly =="
+for sub in "" stats generate run ctrl "journal stat" conform cache plane net; do
+  # shellcheck disable=SC2086
+  "$CLI" $sub --help=plain >"$TMP/help.out" 2>"$TMP/help.err" \
+    || fail "${sub:-top-level} --help=plain did not exit 0"
+  [ ! -s "$TMP/help.err" ] \
+    || fail "${sub:-top-level} --help=plain wrote to stderr: $(head -c 200 "$TMP/help.err")"
+done
+"$CLI" net --help=plain | grep -qF 'NODE:crash@ROUND' \
+  || fail "net --help=plain does not show NODE:crash@ROUND"
 
 echo "net-drills: OK"

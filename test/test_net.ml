@@ -741,13 +741,13 @@ let test_fleet_converged_model () =
   | Ok target -> Alcotest.(check string) "target" "new policy" target
   | Error why -> Alcotest.failf "rolled-out fleet rejected: %s" why
 
-(* --- bench row round-trip ---------------------------------------------- *)
+(* --- rollout report round-trip ------------------------------------------ *)
 
-(* One BENCH_net.json row, built exactly as [bench net] builds it.  The
-   row records its own seed and effective domain count, so the row
-   alone re-runs the cell; everything but the measured makespan must
+(* One rollout as [net --json] records it: the run's parameters, its
+   seed and effective domain count, then {!Net.report_json}.  The record
+   alone re-runs the rollout; everything but the wall-clock keys must
    serialise byte-for-byte identically. *)
-let bench_net_row ~shape ~nodes ~batch ~seed ~domains =
+let rollout_record ~shape ~nodes ~batch ~seed ~domains =
   let topo = Net_topo.make shape nodes in
   let flows = nodes in
   let sc =
@@ -763,59 +763,62 @@ let bench_net_row ~shape ~nodes ~batch ~seed ~domains =
     Net.of_policy ~capacity:(4 * flows) ~domains topo sc.old_policy
   in
   let report = Net.execute fleet plan in
-  check_bool "bench cell completes" true report.Net.completed;
+  check_bool "rollout completes" true report.Net.completed;
   let open Telemetry.Json in
   Obj
-    [
-      ("shape", Str (Net_topo.shape_name topo));
-      ("nodes", Int nodes);
-      ("flows", Int flows);
-      ("batch", Int batch);
-      ("seed", Int seed);
-      ("domains", Int (Net.domains fleet));
-      ("rounds", Int (Net_plan.num_rounds plan));
-      ("total_mods", Int (Net_plan.total_mods plan));
-      ("applied", Int report.Net.applied);
-      ("makespan_ms", Float report.Net.wall_ms);
-      ( "round_touched",
-        List
-          (Stdlib.List.map
-             (fun (s : Net.round_stat) -> Int s.Net.r_switches)
-             report.Net.per_round) );
-      ( "round_mods",
-        List
-          (Stdlib.List.map
-             (fun (s : Net.round_stat) -> Int s.Net.r_mods)
-             report.Net.per_round) );
-    ]
+    ([
+       ("shape", Str (Net_topo.shape_name topo));
+       ("nodes", Int nodes);
+       ("batch", Int batch);
+       ("seed", Int seed);
+       ("domains", Int (Net.domains fleet));
+       ("rounds", Int (Net_plan.num_rounds plan));
+       ("total_mods", Int (Net_plan.total_mods plan));
+     ]
+    @ Net.report_json report)
 
-let row_field row key =
-  match row with
+let record_field record key =
+  match record with
   | Telemetry.Json.Obj fields -> (
       match List.assoc_opt key fields with
       | Some (Telemetry.Json.Int i) -> i
-      | _ -> Alcotest.failf "row has no int field %S" key)
-  | _ -> Alcotest.failf "row is not an object"
+      | _ -> Alcotest.failf "record has no int field %S" key)
+  | _ -> Alcotest.failf "record is not an object"
 
-let strip_wall row =
-  match row with
+let rec strip_wall = function
   | Telemetry.Json.Obj fields ->
       Telemetry.Json.Obj
-        (List.filter (fun (k, _) -> k <> "makespan_ms") fields)
+        (List.filter_map
+           (fun (k, v) -> if k = "wall_ms" then None else Some (k, strip_wall v))
+           fields)
+  | Telemetry.Json.List vs -> Telemetry.Json.List (List.map strip_wall vs)
   | v -> v
 
-let test_bench_net_row_roundtrip () =
-  let row = bench_net_row ~shape:Net_topo.Ring ~nodes:5 ~batch:4 ~seed:29 ~domains:2 in
-  check_int "row records the effective domains" 2 (row_field row "domains");
-  (* re-run the cell from nothing but the row's own recorded fields *)
+let test_report_json_roundtrip () =
+  let record =
+    rollout_record ~shape:Net_topo.Ring ~nodes:5 ~batch:4 ~seed:29 ~domains:2
+  in
+  check_int "record keeps the effective domains" 2
+    (record_field record "domains");
+  let rounds =
+    match record with
+    | Telemetry.Json.Obj fields -> (
+        match List.assoc_opt "per_round" fields with
+        | Some (Telemetry.Json.List rs) -> List.length rs
+        | _ -> Alcotest.fail "no per_round list")
+    | _ -> Alcotest.fail "record is not an object"
+  in
+  check_int "one per_round entry per planned round"
+    (record_field record "rounds") rounds;
+  (* re-run the rollout from nothing but the record's own fields *)
   let again =
-    bench_net_row ~shape:Net_topo.Ring ~nodes:(row_field row "nodes")
-      ~batch:(row_field row "batch") ~seed:(row_field row "seed")
-      ~domains:(row_field row "domains")
+    rollout_record ~shape:Net_topo.Ring ~nodes:(record_field record "nodes")
+      ~batch:(record_field record "batch") ~seed:(record_field record "seed")
+      ~domains:(record_field record "domains")
   in
   Alcotest.(check string)
-    "recorded seed+domains reproduce the row byte-for-byte"
-    (Telemetry.Json.to_string (strip_wall row))
+    "recorded seed+domains reproduce the report byte-for-byte"
+    (Telemetry.Json.to_string (strip_wall record))
     (Telemetry.Json.to_string (strip_wall again))
 
 (* --- properties -------------------------------------------------------- *)
@@ -1034,6 +1037,8 @@ let suite =
           test_crash_mid_submit;
         Alcotest.test_case "recover without rollout" `Quick
           test_recover_without_rollout;
+        Alcotest.test_case "report json round-trips" `Quick
+          test_report_json_roundtrip;
       ] );
     ( "net-supervision",
       [
@@ -1061,11 +1066,6 @@ let suite =
           test_run_fleet_reports_wedge;
         Alcotest.test_case "model check tells old from new" `Quick
           test_fleet_converged_model;
-      ] );
-    ( "net-bench",
-      [
-        Alcotest.test_case "BENCH_net row round-trips" `Quick
-          test_bench_net_row_roundtrip;
       ] );
     ( "net-props",
       to_alcotest
