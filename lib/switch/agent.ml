@@ -177,7 +177,10 @@ let apply_faulted t fault ops =
   in
   go [] ops
 
-let commit t ops =
+(* [landed] runs once the applied ops are on the hardware and before the
+   scheduler's bookkeeping, so the metric refresh reads the graph the
+   update leaves behind. *)
+let commit ?(landed = ignore) t ops =
   (if t.verify then begin
      let r, dt = Measure.time_ms (fun () -> Check.sequence t.graph t.tcam ops) in
      t.verify_ms <- t.verify_ms +. dt;
@@ -202,6 +205,7 @@ let commit t ops =
           t.tcam_ms <-
             t.tcam_ms +. (Fr_tcam.Fault.slow_ms f *. float (List.length applied))
       | None -> ());
+      landed ();
       (* The metric refreshes recompute from the TCAM's actual state, so
          feeding them the applied prefix keeps the store truthful even
          after a mid-sequence fault. *)
@@ -307,9 +311,15 @@ let rec apply t fm =
           Measure.time_ms (fun () -> t.algo.Algo.schedule_delete ~rule_id:id)
         in
         t.fw_ms <- t.fw_ms +. dt;
+        (* Contract once the erase has landed and before the metric
+           refresh: the removed rule's dependents are measured against the
+           contracted graph.  Contraction keeps transitive shadowing order
+           alive. *)
+        let landed () =
+          if not (Tcam.mem t.tcam id) then
+            Graph.remove_node ~contract:true t.graph id
+        in
         let finish () =
-          (* Contraction keeps transitive shadowing order alive. *)
-          Graph.remove_node ~contract:true t.graph id;
           (match Hashtbl.find_opt t.store id with
           | Some r -> Overlap_index.remove t.index r
           | None -> ());
@@ -323,7 +333,7 @@ let rec apply t fm =
         match result with
         | Error _ as e -> e
         | Ok ops -> (
-            match commit t ops with
+            match commit ~landed t ops with
             | Error e when not (Tcam.mem t.tcam id) ->
                 (* A fault interrupted the sequence after the erase itself
                    landed (e.g. before a balance move): the entry is gone

@@ -264,6 +264,60 @@ let prop_metric_stores_truthful =
         (fun a -> snap.(a) = Metric.compute Dir.Up graph tcam ~addr:a)
         (Array.init (Tcam.size tcam) Fun.id))
 
+(* The same truthfulness, driven through [Agent.apply]: a Remove contracts
+   the graph around the removed rule, and the stores must be refreshed
+   against the contracted graph.  Checks the FR-O store and both FR-SB
+   stores at every address after every flow-mod. *)
+let prop_agent_stores_truthful =
+  QCheck.Test.make ~name:"agent metric stores truthful" ~count:20 arb_scenario
+    (fun (seed, n, _) ->
+      let rules = Dataset.generate Dataset.FW5 ~seed ~n:(2 * n) in
+      let stores = ref [] in
+      let fr_o ~graph ~tcam =
+        let st = Greedy.create ~backend:Store.Bit_backend ~graph ~tcam () in
+        stores := [ Greedy.store st ];
+        Greedy.algo st
+      and fr_sb ~graph ~tcam =
+        let st =
+          Separated.create ~backend:Store.Bit_backend ~delete_mode:Separated.Balance
+            ~graph ~tcam ()
+        in
+        stores := [ Separated.up_store st; Separated.down_store st ];
+        Separated.algo st
+      in
+      List.for_all
+        (fun (kind, scheduler) ->
+          let agent = Agent.create ~kind ~scheduler ~capacity:(3 * n) () in
+          let graph = Agent.graph agent and tcam = Agent.tcam agent in
+          let rng = Rng.create ~seed:(seed + 5) in
+          let truthful () =
+            List.for_all
+              (fun store ->
+                let snap = Store.snapshot store in
+                Array.for_all
+                  (fun a -> snap.(a) = Metric.compute (Store.dir store) graph tcam ~addr:a)
+                  (Array.init (Tcam.size tcam) Fun.id))
+              !stores
+          in
+          let live = ref [] in
+          let ok = ref true in
+          Array.iter
+            (fun (r : Rule.t) ->
+              (* Remove a random live rule before one add in three. *)
+              (if !live <> [] && Rng.int rng 3 = 0 then
+                 let id = List.nth !live (Rng.int rng (List.length !live)) in
+                 if Agent.apply agent (Agent.Remove { id }) = Ok () then
+                   live := List.filter (( <> ) id) !live);
+              ok := !ok && truthful ();
+              if Agent.apply agent (Agent.Add r) = Ok () then live := r.Rule.id :: !live;
+              ok := !ok && truthful ())
+            rules;
+          !ok && !live <> [])
+        [
+          (Firmware.FR_O Store.Bit_backend, fr_o);
+          (Firmware.FR_SB Store.Bit_backend, fr_sb);
+        ])
+
 (* Every sequence any scheduler emits must be intermediate-state safe: no
    live-entry clobbering, dependency order intact after every single op
    (Check simulates op by op). *)
@@ -466,6 +520,7 @@ let suite =
         @ [
             prop_membership_agreement;
             prop_metric_stores_truthful;
+            prop_agent_stores_truthful;
             prop_sequences_intermediate_safe;
             prop_ruletris_never_longer;
           ]) );
