@@ -128,17 +128,21 @@ let test_copy_does_not_publish () =
 
 let test_publish_allocation_bound () =
   (* A publish copies one chunk per touched slot plus the O(log32 n)
-     interior nodes above it.  One per-op bound must hold at 8 192 and at
-     131 072 slots: copying a flat spine of chunk pointers per publish
+     interior nodes above it, and edits the index along one key's trie
+     path.  One per-op bound must hold at 8 192 and at 131 072 slots,
+     both indexed: copying a flat spine of chunk pointers per publish
      (O(size / chunk) words, 8 192 at the larger size) fails it. *)
   let per_op_bound = 1024.0 in
   List.iter
     (fun n ->
       let t = Tcam.create ~size:(2 * n) in
-      Tcam.load t (Array.init n (fun i -> (i, 2 * i)));
+      (* Distinct prefixes under three care masks. *)
+      let rule i = mk i 0 (24 - (i mod 3)) (Int64.of_int (i lsl 10)) in
+      Tcam.load ~payload:(fun i -> Some (rule i)) t (Array.init n (fun i -> (i, 2 * i)));
+      check (Printf.sprintf "%d entries indexed" n) true (Image.indexed (Tcam.image t));
       let before = Gc.minor_words () in
-      (* Move each entry to the far end of the table: two chunks and two
-         interior paths per op. *)
+      (* Move each entry to the far end of the table: two chunks, two
+         interior paths and one index relocation per op. *)
       for i = 0 to 99 do
         Tcam.write t ~rule_id:i ~addr:((2 * n) - 1 - (2 * i))
       done;
@@ -147,7 +151,9 @@ let test_publish_allocation_bound () =
         (Printf.sprintf "%d slots: per-op words %.0f < %.0f" (2 * n) per_op
            per_op_bound)
         true (per_op < per_op_bound);
-      check "still consistent" true (Result.is_ok (Tcam.image_consistent t)))
+      check "still consistent" true (Result.is_ok (Tcam.image_consistent t));
+      let pkt = Header.packet_in (Rng.create ~seed:n) (rule 7).Rule.field in
+      check "moved entry answers" true (Image.lookup_id (Tcam.image t) pkt = Some 7))
     [ 4096; 65536 ]
 
 let test_consistency_catches_bad_index () =
@@ -333,6 +339,105 @@ let prop_lookup_differential =
            (int_bound 1_000_000)))
     check_case
 
+(* The index against a linear scan: random write/move/erase/touch
+   sequences over rules drawn from a small field pool (so equal fields sit
+   at several addresses), one payload in five unbound, growing past
+   [Image.index_min] entries, shrinking below half of it and growing
+   again, so the index is built, edited and dropped. *)
+let scan_lookup img pkt =
+  let rec go a =
+    if a < 0 then None
+    else
+      match Image.rule_at img a with
+      | Some r when Rule.matches_packet r pkt -> Some r.Rule.id
+      | _ -> go (a - 1)
+  in
+  go (Image.size img - 1)
+
+let check_index_walk seed =
+  let rng = Rng.create ~seed in
+  let pool = Dataset.generate Dataset.FW5 ~seed ~n:40 in
+  let size = 600 and hi = Image.index_min + 40 and lo = (Image.index_min / 2) - 20 in
+  let next_id = ref 0 in
+  let fresh () =
+    incr next_id;
+    let f = pool.(Rng.int rng (Array.length pool)) in
+    let r = Rule.make ~id:!next_id ~field:f.Rule.field ~action:(Rule.Forward 1) ~priority:0 in
+    (r.Rule.id, if Rng.int rng 5 = 0 then None else Some r)
+  in
+  let free img =
+    let rec go k = let a = Rng.int rng size in if Image.is_free img a || k = 0 then a else go (k - 1) in
+    go 50
+  in
+  let used img =
+    let n = Image.entry_count img in
+    if n = 0 then None
+    else
+      let k = Rng.int rng n in
+      Image.fold img ~init:(None, 0) ~f:(fun (found, i) ~addr ~rule_id:_ ->
+          ((if i = k then Some addr else found), i + 1))
+      |> fst
+  in
+  let ok = ref true and saw_index = ref false and saw_drop = ref false in
+  let indexed = ref false in
+  let check img =
+    let n = Image.entry_count img in
+    (* Built at [index_min] entries, dropped below half of it. *)
+    let want = n >= Image.index_min || (!indexed && 2 * n >= Image.index_min) in
+    if !indexed && not want then saw_drop := true;
+    indexed := want;
+    if want then saw_index := true;
+    ok := !ok && Image.indexed img = want;
+    for _ = 1 to 3 do
+      let pkt =
+        if Rng.int rng 4 = 0 then Header.random_packet rng
+        else Header.packet_in rng pool.(Rng.int rng (Array.length pool)).Rule.field
+      in
+      ok := !ok && Image.lookup_id img pkt = scan_lookup img pkt
+    done
+  in
+  let step img ~grow =
+    let img =
+      match (Rng.int rng 10, used img) with
+      | (0 | 1 | 2 | 3), _ when grow ->
+          let id, r = fresh () in
+          Image.write img ~addr:(free img) ~id r
+      | (0 | 1 | 2 | 3), Some a -> Image.erase img ~addr:a
+      | (4 | 5), Some a -> (
+          (* A move with the occupant's own payload, or with another. *)
+          match Image.read img a with
+          | Image.Used id ->
+              let r = if Rng.bool rng then Image.rule_at img a else snd (fresh ()) in
+              Image.move img ~src:a ~dst:(free img) ~id r
+          | Image.Free -> img)
+      | 6, Some a -> (
+          (* An action rewrite in place, or an unbind. *)
+          match (Image.read img a, Image.rule_at img a) with
+          | Image.Used id, Some r when Rng.bool rng ->
+              Image.write img ~addr:a ~id (Some (Rule.with_action r Rule.Drop))
+          | Image.Used id, _ -> Image.write img ~addr:a ~id None
+          | Image.Free, _ -> img)
+      | 7, _ -> Image.touch img
+      | _, _ ->
+          (* Overwrite any slot, free or not, with a fresh entry. *)
+          let id, r = fresh () in
+          Image.write img ~addr:(Rng.int rng size) ~id r
+    in
+    check img;
+    img
+  in
+  let rec grow img = if Image.entry_count img >= hi then img else grow (step img ~grow:true) in
+  let rec shrink img = if Image.entry_count img < lo then img else shrink (step img ~grow:false) in
+  let img = grow (Image.create ~size) in
+  let img = shrink img in
+  ignore (grow img);
+  !ok && !saw_index && !saw_drop
+
+let prop_index_vs_scan =
+  QCheck.Test.make ~name:"index lookup = linear scan across the cutoff" ~count:25
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    check_index_walk
+
 let test_readers_race_writer () =
   (* Four wait-free reader domains hammer the published pointer while the
      writer churns slots.  Each reader checks it only ever observes fully
@@ -413,5 +518,5 @@ let suite =
         Alcotest.test_case "bulk load = op-by-op writes" `Quick
           test_load_matches_writes;
       ]
-      @ List.map QCheck_alcotest.to_alcotest [ prop_lookup_differential ] );
+      @ List.map QCheck_alcotest.to_alcotest [ prop_lookup_differential; prop_index_vs_scan ] );
   ]
