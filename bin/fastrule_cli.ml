@@ -811,6 +811,25 @@ let conform_cmd =
       fo_shards degraded_frac strict domains capture =
     if fault < 0. || fault > 1. then bad "--fault must be in [0,1] (got %g)" fault;
     if crash_batch < 1 then bad "--crash-batch must be >= 1 (got %d)" crash_batch;
+    (* A fault lane runs the service oracle, which takes none of the
+       differential run's sabotage, fault-injection, recording or
+       shrinking options: naming one beside a lane is a usage error. *)
+    let no_lane_flags lane =
+      match
+        List.filter_map
+          (fun (set, flag) -> if set then Some flag else None)
+          [
+            (break_ <> [], "--break");
+            (fault > 0., "--fault");
+            (record, "--record");
+            (save <> None, "--save");
+            (shrink, "--shrink");
+          ]
+      with
+      | [] -> ()
+      | flags ->
+          bad "the %s fault lane does not take %s" lane (String.concat ", " flags)
+    in
     (* A service-level fault lane: print the report and exit on its
        verdict (--strict only decides whether a vacuous lane fails). *)
     let run_fault ~probes ~batch fault trace =
@@ -833,6 +852,7 @@ let conform_cmd =
         match Bundle.load path with
         | Error e -> bad "%s" e
         | Ok (info, trace) ->
+            no_lane_flags "--replay of a bundle";
             Format.printf "replaying %a@." Bundle.pp_info info;
             run_fault ~probes:info.Bundle.probes ~batch:info.Bundle.batch
               info.Bundle.fault trace)
@@ -849,13 +869,14 @@ let conform_cmd =
           Trace.generate ~kind ~seed ~initial:n ~pool ~capacity ~events ()
     in
     (match (crash_at, failover_shard, degraded_frac) with
-    | Some at, _, _ -> Some (Oracle.Crash { at; mid_drain = crash_mid })
+    | Some at, _, _ -> Some ("--crash-at", Oracle.Crash { at; mid_drain = crash_mid })
     | None, Some shard, _ ->
-        Some (Oracle.Slow { shards = fo_shards; shard; ms = 8.0 })
+        Some ("--failover", Oracle.Slow { shards = fo_shards; shard; ms = 8.0 })
     | None, None, Some frac ->
-        Some (Oracle.Stuck { shards = fo_shards; shard = 0; frac })
+        Some ("--degraded", Oracle.Stuck { shards = fo_shards; shard = 0; frac })
     | None, None, None -> None)
-    |> Option.iter (fun fault ->
+    |> Option.iter (fun (lane, fault) ->
+           no_lane_flags lane;
            run_fault ~probes ~batch:crash_batch fault trace);
     let config =
       {
@@ -872,6 +893,7 @@ let conform_cmd =
         ~capacity:trace.Trace.capacity (fun () -> Oracle.run ~config trace)
     in
     Oracle.pp_report Format.std_formatter report;
+    Oracle.pp_timing Format.err_formatter report;
     (match save with
     | Some path ->
         Trace.save report.Oracle.trace path;
@@ -1333,6 +1355,7 @@ let plane_cmd =
           Oracle.run ~config:{ Oracle.default_config with probes } trace
         in
         Oracle.pp_report Format.std_formatter report;
+        Oracle.pp_timing Format.err_formatter report;
         if report.Oracle.snapshots_checked = 0 then begin
           Format.printf "plane oracle: no snapshots captured (BUG)@.";
           true

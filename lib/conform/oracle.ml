@@ -957,14 +957,16 @@ let pp_report ppf r =
         | Some e -> Printf.sprintf ", CRASHED (%s)" e
         | None -> ""))
     r.columns;
-  Format.fprintf ppf
-    "  %d probes/agent; %d snapshots checked; %d ops checked in %.2f ms%s@."
-    r.probes_run r.snapshots_checked r.checked_ops r.verify_ms
+  Format.fprintf ppf "  %d probes/agent; %d snapshots checked; %d ops checked@."
+    r.probes_run r.snapshots_checked r.checked_ops;
+  pp_divergences ~limit:10 ppf r.divergences
+
+let pp_timing ppf r =
+  Format.fprintf ppf "%d ops checked in %.2f ms%s@." r.checked_ops r.verify_ms
     (if r.verify_ms > 0. then
        Printf.sprintf " (%.0f checked-ops/s)"
          (float_of_int r.checked_ops /. (r.verify_ms /. 1000.))
-     else "");
-  pp_divergences ~limit:10 ppf r.divergences
+     else "")
 
 (* ------------------------------------------------------------------ *)
 (* ------------------------------------------------------------------ *)

@@ -103,6 +103,12 @@ val run : ?config:config -> Trace.t -> report
     image can never observe a half-applied cascade. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** The verdict, a function of the trace and the config alone: two runs
+    of one build print it byte for byte alike. *)
+
+val pp_timing : Format.formatter -> report -> unit
+(** The wall-clock verification rate (checked ops per second), kept out
+    of {!pp_report} so the verdict stays diffable. *)
 
 (** {1 Service-level fault lanes}
 

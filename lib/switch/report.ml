@@ -50,12 +50,3 @@ let row_to_csv (r : Experiment.row) =
     r.Experiment.algo r.kind r.n r.updates_run r.failed r.fw.Measure.mean
     r.fw.Measure.max r.fw.Measure.p50 r.fw.Measure.p99 r.tcam_total_ms
     r.tcam_avg_ms r.writes r.erases r.moves r.seq_len_mean
-
-let speedup rows ~baseline ~algo =
-  let find name =
-    List.find_opt (fun (r : Experiment.row) -> r.Experiment.algo = name) rows
-  in
-  match (find baseline, find algo) with
-  | Some b, Some a when a.Experiment.fw.Measure.mean > 0.0 ->
-      Some (b.Experiment.fw.Measure.mean /. a.Experiment.fw.Measure.mean)
-  | _ -> None

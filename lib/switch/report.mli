@@ -17,8 +17,3 @@ val print_table2 :
 
 val csv_header : string
 val row_to_csv : Experiment.row -> string
-
-val speedup :
-  Experiment.row list -> baseline:string -> algo:string -> float option
-(** Ratio of mean firmware times baseline/algo within one row set (same
-    kind and n), when both are present and non-zero. *)

@@ -80,18 +80,6 @@ let test_csv_roundtrip_shape () =
   let n_cols = List.length (String.split_on_char ',' Report.csv_header) in
   check_int "csv fields match header" n_cols n_fields
 
-let test_speedup_helper () =
-  let spec =
-    { Experiment.kind = Dataset.ACL5; n = 300; updates = 100; with_deletes = false; seed = 7 }
-  in
-  let rows =
-    Experiment.run_spec spec
-      ~algos:[ Firmware.Ruletris; Firmware.FR_O Store.Bit_backend ]
-  in
-  match Report.speedup rows ~baseline:"ruletris" ~algo:"fr-o" with
-  | Some s -> check "fastrule faster" true (s > 1.0)
-  | None -> Alcotest.fail "speedup missing"
-
 let suite =
   [
     ( "experiment",
@@ -104,6 +92,5 @@ let suite =
         Alcotest.test_case "run_one cap" `Quick test_run_one_cap;
         Alcotest.test_case "participation respected" `Quick test_run_spec_respects_participation;
         Alcotest.test_case "csv shape" `Quick test_csv_roundtrip_shape;
-        Alcotest.test_case "speedup helper" `Quick test_speedup_helper;
       ] );
   ]
