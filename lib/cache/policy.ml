@@ -57,8 +57,6 @@ let score t ~id =
       | Lru -> float_of_int s.last_tick
       | Fdrc _ -> float_of_int (s.hits + s.misses))
 
-let forget t ~id = Hashtbl.remove t.table id
-
 let victims t ~candidates ~group_of ~protect ~need ~limit =
   (* Coldest-first by the candidate's own score.  A group's effective
      temperature is its hottest member, checked when the group is

@@ -45,9 +45,6 @@ val should_admit : t -> id:int -> bool
 val score : t -> id:int -> float
 (** Hotness (bigger = hotter; 0 for never-seen ids). *)
 
-val forget : t -> id:int -> unit
-(** Drop [id]'s state (evicted or deleted). *)
-
 val victims :
   t ->
   candidates:int list ->

@@ -62,7 +62,6 @@ let backing t = t.backing
 let service t = t.service
 let cached_count t = Id_set.cardinal t.cached
 let installed_count t = Hashtbl.length t.installed
-let is_cached t id = Id_set.mem id t.cached
 let cached_ids t = t.cached
 let telemetry t = t.telemetry
 let rounds t = t.rounds

@@ -94,9 +94,6 @@ val cached_count : t -> int
 val installed_count : t -> int
 (** Rules physically in the TCAM right now. *)
 
-val is_cached : t -> int -> bool
-(** Is the id in the target cached set? *)
-
 val cached_ids : t -> Fr_tern.Rule.Id_set.t
 (** The target cached set itself — what the closure invariant is stated
     over ([admission_closure id ⊆ cached_ids] for every member). *)

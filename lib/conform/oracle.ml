@@ -21,12 +21,6 @@ type outcome =
   | Verify_failed of string
   | Faulted of string
 
-let pp_outcome ppf = function
-  | Applied -> Format.pp_print_string ppf "applied"
-  | Rejected e -> Format.fprintf ppf "rejected (%s)" e
-  | Verify_failed e -> Format.fprintf ppf "VERIFY FAILED (%s)" e
-  | Faulted e -> Format.fprintf ppf "faulted (%s)" e
-
 type divergence = { event : int; scheduler : string; detail : string }
 
 let pp_divergence ppf d =
@@ -204,8 +198,8 @@ let run ?(config = default_config) (trace : Trace.t) =
         let fm = Trace.flow_mod pool ev in
         (* 1. drive the event through every (live) lane, capturing every
            snapshot the lane publishes mid-cascade (one image per
-           committed hardware op / payload bind) together with the
-           pre-event rule set, for the snapshot-consistency step below *)
+           committed hardware op) together with the pre-event rule set,
+           for the snapshot-consistency step below *)
         let snap_work = ref [] in
         List.iter
           (fun lane ->

@@ -36,15 +36,11 @@ type outcome =
   | Verify_failed of string  (** shadow table refused the sequence *)
   | Faulted of string  (** injected hardware failure cut the sequence *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 type divergence = {
   event : int;  (** event index; [-1] for end-of-run checks *)
   scheduler : string;  (** offending scheduler (kind name) *)
   detail : string;
 }
-
-val pp_divergence : Format.formatter -> divergence -> unit
 
 type config = {
   probes : int;  (** packets sampled per event (default 8) *)

@@ -63,7 +63,6 @@ val chaos_plan :
     sick ones.  Sorted by [at_flush].
     @raise Invalid_argument if [shards] or [flushes] is below 1. *)
 
-val chaos_action_to_string : chaos_action -> string
 val pp_chaos_event : Format.formatter -> chaos_event -> unit
 
 val run :

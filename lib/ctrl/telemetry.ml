@@ -239,7 +239,6 @@ let tcam_ops t = t.tcam_ops
 let moves t = t.moves
 let firmware_ms_total t = Measure.Hist.total t.fw
 let hardware_ms_total t = Measure.Hist.total t.hw
-let queue_depth_max t = t.depth_max
 let retries t = t.retries
 let retried_ops t = t.retried_ops
 let backoff_ms_total t = t.backoff_ms
@@ -254,7 +253,6 @@ let slow_drains t = t.slow_drains
 let slow_threshold_ms t = t.slow_threshold_ms
 let dead_rows t = t.dead_rows
 let degraded_diverted t = t.degraded_diverted
-let heal_probes t = t.heal_probes
 let rows_recovered t = t.rows_recovered
 let firmware_ms t = Measure.Hist.summary t.fw
 let hardware_ms t = Measure.Hist.summary t.hw
@@ -267,7 +265,6 @@ let cache_admitted t = t.cache_admitted
 let cache_evicted t = t.cache_evicted
 let cache_admit_skips t = t.cache_admit_skips
 let cache_repairs t = t.cache_repairs
-let cache_flushes t = t.cache_flushes
 
 let cache_hit_rate t =
   let total = t.cache_hits + t.cache_misses in

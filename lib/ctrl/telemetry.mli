@@ -144,7 +144,6 @@ val tcam_ops : t -> int
 val moves : t -> int
 val firmware_ms_total : t -> float
 val hardware_ms_total : t -> float
-val queue_depth_max : t -> int
 val retries : t -> int
 val retried_ops : t -> int
 val backoff_ms_total : t -> float
@@ -163,7 +162,6 @@ val dead_rows : t -> int
 (** Last value passed to {!set_dead_rows}; [0] initially. *)
 
 val degraded_diverted : t -> int
-val heal_probes : t -> int
 val rows_recovered : t -> int
 
 val breaker_state : t -> string
@@ -178,20 +176,13 @@ val hardware_ms : t -> Fr_switch.Measure.summary
 val wall_ms : t -> Fr_switch.Measure.summary
 (** Per-drain wall-clock milliseconds (firmware + simulator overhead). *)
 
-val drain_ops : t -> Fr_switch.Measure.summary
-(** Per-drain TCAM op counts (the paper's movement metric, per drain). *)
-
 val cache_hits : t -> int
 val cache_misses : t -> int
-
-val cache_hit_rate : t -> float
-(** Hits over (hits + misses); [0.] before any traffic. *)
 
 val cache_admitted : t -> int
 val cache_evicted : t -> int
 val cache_admit_skips : t -> int
 val cache_repairs : t -> int
-val cache_flushes : t -> int
 
 val cache_closure : t -> Fr_switch.Measure.summary
 (** Admission-closure sizes (rules per admission). *)

@@ -120,6 +120,3 @@ let pp ppf t =
     "n=%d m=%d components=%d c_max=%d c_avg=%.2f d_in=%.3f max_out=%d max_in=%d"
     t.n t.m t.n_components t.c_max t.c_avg t.d_in t.max_out_degree
     t.max_in_degree
-
-let pp_table_row ppf t =
-  Format.fprintf ppf "%8d %6d %6.1f" t.n t.c_max t.c_avg

@@ -28,6 +28,3 @@ val components : Graph.t -> int list list
 
 val pp : Format.formatter -> t -> unit
 (** One-line human-readable summary. *)
-
-val pp_table_row : Format.formatter -> t -> unit
-(** "n c_max c_avg" triple in Table II style. *)

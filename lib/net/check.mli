@@ -62,12 +62,6 @@ val trace :
 (** Hop-by-hop walk from [ingress]; returns the nodes visited in order
     (the ingress first) and how the walk ended. *)
 
-val expectations : Plan.t -> ((int * int) * Policy.flow) list
-(** [(flow_id, version) -> flow spec] for every (flow, version) pair the
-    rollout can stamp: the old policy's flows at their current versions
-    and the new policy's changed/introduced flows at their post-flip
-    versions. *)
-
 val consistent :
   ?samples:int ->
   rng:Fr_prng.Rng.t ->

@@ -26,8 +26,6 @@ let in_prefix ~plen ~value dst = prefix_bits ~plen value = prefix_bits ~plen dst
 let dst_field f = Ternary.prefix_of_int64 ~width:32 ~plen:f.plen f.dst_value
 
 let rule_id ~flow_id ~version = (2 * flow_id) + version
-let flow_of_rule_id id = id lsr 1
-let version_of_rule_id id = id land 1
 
 let rule f ~version ~port =
   let field =

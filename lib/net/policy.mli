@@ -30,24 +30,14 @@ type t = flow list
 val ingress : flow -> int
 val egress : flow -> int
 
-val dst_field : flow -> Fr_tern.Ternary.t
-(** The 32-bit destination prefix as a ternary string. *)
-
 val prefix_bits : plen:int -> int64 -> int64
 (** The [plen] most significant bits of a 32-bit address — the canonical
     form used to compare prefixes and test membership. *)
-
-val in_prefix : plen:int -> value:int64 -> int64 -> bool
-(** [in_prefix ~plen ~value dst] — does [dst] fall inside the prefix? *)
 
 (** {1 Rule encoding} *)
 
 val rule_id : flow_id:int -> version:int -> int
 (** [2 * flow_id + version]. *)
-
-val flow_of_rule_id : int -> int
-
-val version_of_rule_id : int -> int
 
 val rule : flow -> version:int -> port:int -> Fr_tern.Rule.t
 (** The TCAM rule one hop installs: dst = the flow's prefix, proto = the

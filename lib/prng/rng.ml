@@ -44,8 +44,6 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let chance t p = if p >= 1.0 then true else if p <= 0.0 then false else float t < p
 
-let int32_bits t = Int64.to_int32 (bits64 t)
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

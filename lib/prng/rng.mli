@@ -39,9 +39,6 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p] (clamped to [\[0,1\]]). *)
 
-val int32_bits : t -> int32
-(** Next raw 32-bit output. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

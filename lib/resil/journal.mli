@@ -101,8 +101,6 @@ val path : t -> string
 val dir : t -> string
 (** The journal directory this writer lives in. *)
 
-val last_seq : t -> int
-
 val log_mod : t -> Agent.flow_mod -> int
 (** Append a mod record (buffered) and return its sequence number. *)
 

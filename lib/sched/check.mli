@@ -13,9 +13,10 @@
     chunk plus its O(log{_32} n) interior path), so the simulation
     additionally checks {!Fr_tcam.Tcam.image_consistent} after each step
     — the snapshot a concurrent reader would grab at that instant must
-    hold every indexed entry in its indexed slot with its bound payload,
-    and nothing else.  The simulation runs on a {!Fr_tcam.Tcam.copy},
-    which copies the writer's indexes and shares the immutable image. *)
+    hold every indexed entry in its indexed slot with the payload the
+    table's resolver gives for it, and nothing else.  The simulation runs
+    on a {!Fr_tcam.Tcam.copy}, which copies the writer's index and shares
+    the immutable image and the resolver. *)
 
 val sequence :
   Fr_dag.Graph.t -> Fr_tcam.Tcam.t -> Fr_tcam.Op.t list -> (unit, string) result

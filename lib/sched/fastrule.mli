@@ -33,10 +33,3 @@ val algo : state -> Algo.t
 
 val store : state -> Store.t
 (** The live metric store (for tests and the separated-layout composition). *)
-
-val schedule_chain :
-  state -> rule_id:int -> lo:int -> hi:int -> (Fr_tcam.Op.t list, string) result
-(** The bare greedy over the explicit inclusive candidate range
-    [\[lo, hi\]], without the request-window derivation — the separated
-    layout builds its region scheduling on this.  Displacements cascade in
-    the state's direction.  Returned in application order. *)

@@ -5,8 +5,6 @@ module Graph = Fr_dag.Graph
 
 type delete_mode = Dirty | Balance
 
-let delete_mode_to_string = function Dirty -> "dirty" | Balance -> "balance"
-
 type state = {
   graph : Graph.t;
   tcam : Tcam.t;

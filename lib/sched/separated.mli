@@ -22,8 +22,6 @@
 
 type delete_mode = Dirty | Balance
 
-val delete_mode_to_string : delete_mode -> string
-
 type state
 
 val create :

@@ -43,11 +43,6 @@ val create : backend:backend -> dir:Dir.t -> Fr_dag.Graph.t -> Fr_tcam.Tcam.t ->
 val dir : t -> Dir.t
 val backend : t -> backend
 
-val dead_metric : int
-(** Sentinel metric carried by rows the {!Fr_tcam.Deadmap} marks dead —
-    larger than any real chain length, so dead rows lose every
-    [min_in] comparison and an all-dead window is recognisable. *)
-
 val get : t -> int -> int
 (** Metric at an address (computed on the fly for [On_demand];
     {!dead_metric} for dead rows). *)

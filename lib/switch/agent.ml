@@ -46,10 +46,11 @@ type t = {
   mutable publish_observer : (Fr_tcam.Image.t -> unit) option;
 }
 
-(* Every committed hardware op (and payload bind/unbind) republishes: one
-   atomic store here, one atomic load on the reader side.  The observer
-   rides along for the conformance oracle, which wants every mid-cascade
-   instant, not just the latest. *)
+(* Every committed hardware op republishes, and a write carries the rule
+   the store holds for its id: one image per op, one atomic store here,
+   one atomic load on the reader side.  The observer rides along for the
+   conformance oracle, which wants every mid-cascade instant, not just
+   the latest. *)
 let install_publisher t =
   Atomic.set t.published (Tcam.image t.tcam);
   Tcam.set_publisher t.tcam
@@ -64,12 +65,13 @@ let default_scheduler kind ~graph ~tcam = Firmware.make_scheduler kind ~graph ~t
 
 let create ?(kind = default_kind) ?scheduler ?(latency = Latency.default)
     ?(verify = false) ~capacity () =
-  let tcam = Tcam.create ~size:capacity in
+  let store = Hashtbl.create 64 in
+  let tcam = Tcam.create ~payload:(Hashtbl.find_opt store) ~size:capacity () in
   let graph = Graph.create () in
   let make = Option.value scheduler ~default:(default_scheduler kind) in
   let t =
     {
-      store = Hashtbl.create 64;
+      store;
       index = Overlap_index.create ();
       graph;
       tcam;
@@ -241,18 +243,17 @@ let rec apply t fm =
             Graph.remove_node t.graph rule.Rule.id;
             e
         | Ok ops -> (
-            (* Bind the payload before the sequence commits: the op that
-               writes the new entry publishes a snapshot that must already
-               resolve this id. *)
-            Tcam.bind_rule t.tcam rule;
+            (* The rule enters the store before the sequence commits: the
+               op that writes the new entry carries it.  Every insert chain
+               ends with that write, so a failed Add never leaves the entry
+               placed and the rule leaves the store again. *)
+            Hashtbl.replace t.store rule.Rule.id rule;
             match commit t ops with
             | Error _ as e ->
                 Graph.remove_node t.graph rule.Rule.id;
-                if not (Tcam.mem t.tcam rule.Rule.id) then
-                  Tcam.unbind_rule t.tcam ~id:rule.Rule.id;
+                Hashtbl.remove t.store rule.Rule.id;
                 e
             | Ok () ->
-                Hashtbl.replace t.store rule.Rule.id rule;
                 Overlap_index.add t.index rule;
                 Ok ())
       end
@@ -287,20 +288,18 @@ let rec apply t fm =
                 in
                 readd 1)
       | Some rule, Some addr -> (
-          (* One in-place hardware write; the dependency graph is
-             action-agnostic so no reordering can be needed. *)
-          let ops = [ Op.insert ~rule_id:id ~addr ] in
-          match commit t ops with
-          | Error _ as e -> e
+          (* One in-place hardware write carrying the updated rule; the
+             dependency graph is action-agnostic so no reordering can be
+             needed.  A failed write leaves the old rule in the slot, so
+             the store gets it back. *)
+          let updated = Rule.with_action rule action in
+          Hashtbl.replace t.store id updated;
+          match commit t [ Op.insert ~rule_id:id ~addr ] with
+          | Error _ as e ->
+              Hashtbl.replace t.store id rule;
+              e
           | Ok () ->
-              let updated = Rule.with_action rule action in
-              Hashtbl.replace t.store id updated;
               Overlap_index.add t.index updated;
-              (* Rebind after the write commits: the snapshot carrying the
-                 new payload is the post-state, the one before it the
-                 pre-state — matching is action-agnostic so both answer
-                 lookups identically. *)
-              Tcam.bind_rule t.tcam updated;
               Ok ())
       | _ -> Error (Printf.sprintf "rule %d is not installed" id))
   | Remove { id } -> (
@@ -323,12 +322,10 @@ let rec apply t fm =
           (match Hashtbl.find_opt t.store id with
           | Some r -> Overlap_index.remove t.index r
           | None -> ());
+          (* The rule leaves the store only once its erase has landed:
+             until then every op of the sequence may still write its id. *)
           Hashtbl.remove t.store id;
-          Hashtbl.remove t.counters id;
-          (* Unbind only after the entry has left the slots: snapshots
-             taken during the trailing balance moves still resolve every
-             id they can match. *)
-          Tcam.unbind_rule t.tcam ~id
+          Hashtbl.remove t.counters id
         in
         match result with
         | Error _ as e -> e

@@ -115,7 +115,8 @@ val lookup : t -> Fr_tern.Header.packet -> Fr_tern.Rule.t option
 
 val published : t -> Fr_tcam.Image.t
 (** The wait-free read face: the latest snapshot image, republished by
-    every committed hardware op and payload (re)bind.  One atomic load;
+    every committed hardware op, exactly one image per op (a write
+    carries its rule from the agent's store).  One atomic load;
     the returned image is immutable and stays valid however long the
     caller holds it.  Safe to call from any domain while this agent's
     domain is mid-flush. *)
@@ -194,10 +195,10 @@ val verify_consistent : t -> (unit, string) result
 (** Cross-check the views of the table: every stored rule has a TCAM
     entry, the TCAM holds nothing else, the entries respect the
     dependency-graph order ({!Fr_tcam.Tcam.check_dag_order}), and the
-    published image agrees with the TCAM's id -> address index
-    ({!Fr_tcam.Tcam.image_consistent}).  The
-    recovery path ([Fr_resil] / [Fr_ctrl.Service.recover]) runs this on
-    every rebuilt shard before putting it back in service. *)
+    published image agrees with the TCAM's id -> address index and
+    carries each entry's stored rule ({!Fr_tcam.Tcam.image_consistent}).
+    The recovery path ([Fr_resil] / [Fr_ctrl.Service.recover]) runs this
+    on every rebuilt shard before putting it back in service. *)
 
 val restore :
   ?kind:Firmware.algo_kind ->

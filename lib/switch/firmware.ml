@@ -93,7 +93,6 @@ let create ?(latency = Latency.default) ?(check_invariant = false)
 
 let graph r = r.graph
 let tcam r = r.tcam
-let algo_name r = r.algo.Algo.name
 let scheduler r = r.algo
 
 let account_ops r ops =

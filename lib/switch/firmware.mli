@@ -62,7 +62,6 @@ val create :
 
 val graph : run -> Fr_dag.Graph.t
 val tcam : run -> Fr_tcam.Tcam.t
-val algo_name : run -> string
 
 val scheduler : run -> Fr_sched.Algo.t
 (** The underlying scheduler — for callers that want to drive updates

@@ -72,11 +72,6 @@ let dead_list t =
   done;
   !acc
 
-let iter_dead t f =
-  for a = 0 to t.size - 1 do
-    if Bytes.get t.dead a <> '\000' then f a
-  done
-
 let intervals t =
   let acc = ref [] in
   let run_start = ref (-1) in

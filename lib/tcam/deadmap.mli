@@ -62,9 +62,6 @@ val clear : t -> unit
 val dead_list : t -> int list
 (** Dead addresses in ascending order. *)
 
-val iter_dead : t -> (int -> unit) -> unit
-(** Ascending address order. *)
-
 val intervals : t -> (int * int) list
 (** Maximal runs of dead addresses as inclusive [(lo, hi)] pairs,
     ascending — the hole view the defrag planner packs around. *)

@@ -117,7 +117,6 @@ let spec_of_string s =
   go { fail_prob = 0.0; stuck = []; max_failures = None; slow_ms = 0.0 } parts
 
 let injected t = t.injected
-let stuck_slots (t : t) = Hashtbl.fold (fun a () acc -> a :: acc) t.stuck []
 
 let pp ppf (t : t) =
   Format.fprintf ppf "fault(p=%g, stuck=%d, injected=%d)" t.fail_prob

@@ -78,6 +78,4 @@ val slow_ms : t -> float
 val injected : t -> int
 (** Failures injected so far (stuck hits included). *)
 
-val stuck_slots : t -> int list
-
 val pp : Format.formatter -> t -> unit

@@ -23,7 +23,7 @@ let fan_bits = 5
 let fan = 1 lsl fan_bits
 let index_min = 256
 
-(* A placed id whose payload is not bound carries a payload with this
+(* A placed id without a payload carries a placeholder payload with this
    field; it and [vacant] (the free slot) get a key no packet matches. *)
 let hollow = Ternary.any 1
 let placeholder id = Rule.make ~id ~field:hollow ~action:Rule.Drop ~priority:0
@@ -253,7 +253,7 @@ and probe_bucket d lo hi j =
     Array.unsafe_get d (j + 2)
   else probe_bucket d lo hi (j + 3)
 
-(* Unbound payloads and keys no packet matches stay out of the index. *)
+(* Placeholder payloads and keys no packet matches stay out of the index. *)
 let indexable (r : Rule.t) = is_bound r && r.lo_value <> never
 
 let same_key (a : Rule.t) (b : Rule.t) =
@@ -622,7 +622,6 @@ let derive t ~root ~count =
   else
     { next with root = rekey ~keyed:true root; indexed = false; masks = [||]; roots = [||] }
 
-let touch t = { t with epoch = t.epoch + 1 }
 let of_payload ~id = function Some r -> r | None -> placeholder id
 let occupied r = Bool.to_int (r != vacant)
 
@@ -634,7 +633,7 @@ let set t root addr old r =
 (* Slot [addr] holding [r] ([vacant] frees it), one epoch on. *)
 let assign t addr r =
   let old = at t addr in
-  if old == vacant && r == vacant then touch t
+  if old == vacant && r == vacant then { t with epoch = t.epoch + 1 }
   else
     let next =
       derive t ~root:(set t t.root addr old r) ~count:(t.count + occupied r - occupied old)

@@ -37,10 +37,12 @@
 
     The image carries rule {e payloads} as well as placements, so
     [lookup] is self-contained: a reader domain needs no access to the
-    agent's mutable rule store.  A slot may hold an id whose payload is
-    not bound (see {!Tcam.bind_rule}); such a slot is occupied but never
-    matches.  The image keeps no id index: the writer's own tables map
-    ids to addresses. *)
+    agent's mutable rule store.  The op that writes a slot carries its
+    payload, so the image a write derives already resolves the id it
+    places.  A slot may hold an id without a payload (a table whose
+    resolver knows no rule for it, see {!Tcam.create}); such a slot is
+    occupied but never matches.  The image keeps no id index: the
+    writer's own tables map ids to addresses. *)
 
 type slot = Free | Used of int  (** rule id *)
 
@@ -56,8 +58,7 @@ val size : t -> int
 
 val epoch : t -> int
 (** Strictly increases with every derived image ([write], [move],
-    [erase], [touch], [fill]); readers can use it to detect
-    publication. *)
+    [erase], [fill]); readers can use it to detect publication. *)
 
 val entry_count : t -> int
 (** Occupied slots. *)
@@ -73,7 +74,7 @@ val indexed : t -> bool
 
     Every address must lie in [\[0, size)]
     (@raise Invalid_argument otherwise).  A [payload] of [None] places
-    [id] unbound. *)
+    [id] without one. *)
 
 val write : t -> addr:int -> id:int -> Fr_tern.Rule.t option -> t
 (** Slot [addr] holds [id] with the given payload, whatever it held
@@ -85,12 +86,9 @@ val move : t -> src:int -> dst:int -> id:int -> Fr_tern.Rule.t option -> t
 val erase : t -> addr:int -> t
 (** Free the slot (erasing a free slot only bumps the epoch). *)
 
-val touch : t -> t
-(** The same slots, one epoch on: a publication that changes no slot. *)
-
 val fill : t -> (int * int) array -> (int -> Fr_tern.Rule.t option) -> t
 (** [fill t placed payload]: the empty image [t] with every
-    [(rule_id, addr)] of [placed] occupying its slot, bound to
+    [(rule_id, addr)] of [placed] occupying its slot and carrying
     [payload rule_id]; the chunks, and each tuple of the index when
     [placed] reaches {!index_min}, are built in one pass, one epoch on.
     @raise Invalid_argument if [t] has entries or an address repeats. *)
@@ -101,7 +99,7 @@ val read : t -> int -> slot
 val is_free : t -> int -> bool
 
 val rule_at : t -> int -> Fr_tern.Rule.t option
-(** The bound payload at an address, if the slot holds one. *)
+(** The payload at an address, if the slot holds one. *)
 
 val lookup : t -> Fr_tern.Header.packet -> Fr_tern.Rule.t option
 (** Highest-address matching entry, exactly as the TCAM hardware
@@ -109,7 +107,7 @@ val lookup : t -> Fr_tern.Header.packet -> Fr_tern.Rule.t option
     packet, a trie descent of O(log{_32} n) nodes) and then fetch the
     winning slot; smaller ones scan the slots downward, two [land]/[=]
     compares per occupied slot, empty subtrees skipped.  Neither
-    allocates.  Unbound slots never match. *)
+    allocates.  Slots without a payload never match. *)
 
 val lookup_id : t -> Fr_tern.Header.packet -> int option
 (** [lookup] returning the winning rule id. *)
@@ -127,7 +125,7 @@ val fold : t -> init:'a -> f:('a -> addr:int -> rule_id:int -> 'a) -> 'a
 val iter : t -> (addr:int -> rule_id:int -> unit) -> unit
 
 val entries : t -> (int * Fr_tern.Rule.t) array
-(** Occupied slots with bound payloads, ascending address — the input a
+(** Occupied slots with payloads, ascending address — the input a
     software lookup backend compiles. *)
 
 val pp : Format.formatter -> t -> unit

@@ -16,7 +16,7 @@ let capacity_needed layout ~n =
 
 let place ?deadmap ?payload layout ~tcam_size ~order =
   let n = Array.length order in
-  let tcam = Tcam.create ~size:tcam_size in
+  let tcam = Tcam.create ?payload ~size:tcam_size () in
   (match deadmap with
   | Some d -> Tcam.adopt_deadmap tcam d
   | None -> ());
@@ -48,8 +48,7 @@ let place ?deadmap ?payload layout ~tcam_size ~order =
         let bottom = n / 2 in
         fun i -> if i < bottom then i else w - (n - i)
   in
-  Tcam.load ?payload tcam
-    (Array.mapi (fun i id -> (id, writable.(position i))) order);
+  Tcam.load tcam (Array.mapi (fun i id -> (id, writable.(position i))) order);
   tcam
 
 type separated_regions = {

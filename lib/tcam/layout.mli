@@ -48,8 +48,8 @@ val place :
     restart path for a switch re-adopting rules onto degraded hardware.
 
     The table is filled in one {!Tcam.load}: one pass over the chunks,
-    one publish, no ops counted.  [payload] binds each id's rule as it is
-    placed (default: none bound).
+    one publish, no ops counted.  [payload] is the fresh table's resolver
+    (see {!Tcam.create}; default: no id resolves).
     @raise Invalid_argument if the entries do not fit on the writable
     rows. *)
 

@@ -18,5 +18,3 @@ let pp ppf = function
 let pp_sequence ppf ops =
   Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",") pp
     ppf ops
-
-let length_is_movements ops = max 0 (List.length ops - 1)

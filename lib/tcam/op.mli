@@ -19,8 +19,3 @@ val addr : t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_sequence : Format.formatter -> t list -> unit
-
-val length_is_movements : t list -> int
-(** Number of ops in a sequence that move {e existing} entries, i.e. its
-    length minus the initial insertion of the new entry (clamped at 0).
-    Matches the paper's "number of movements" accounting in Fig. 1. *)

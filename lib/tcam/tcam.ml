@@ -1,12 +1,12 @@
 type slot = Image.slot = Free | Used of int
 
-(* The published image is the only slot state.  The writer keeps two
-   private indexes beside it: where each id sits (move semantics) and
-   which payload each id is bound to. *)
+(* The published image is the only slot state.  The writer keeps one
+   private index beside it, where each id sits (move semantics), and asks
+   its owner's resolver which payload a written id carries. *)
 type t = {
   size : int;
   addrs : (int, int) Hashtbl.t;  (* rule id -> address *)
-  payloads : (int, Fr_tern.Rule.t) Hashtbl.t;  (* rule id -> bound payload *)
+  payload : int -> Fr_tern.Rule.t option;  (* the owner's rule id -> rule *)
   mutable ops : int;
   mutable moves : int;
   mutable dead : Deadmap.t;  (* discovered broken rows; empty on healthy hw *)
@@ -14,12 +14,12 @@ type t = {
   mutable publisher : (Image.t -> unit) option;
 }
 
-let create ~size =
+let create ?(payload = fun _ -> None) ~size () =
   if size <= 0 then invalid_arg "Tcam.create: size must be positive";
   {
     size;
     addrs = Hashtbl.create 16;
-    payloads = Hashtbl.create 16;
+    payload;
     ops = 0;
     moves = 0;
     dead = Deadmap.create ~size ();
@@ -58,7 +58,7 @@ let write t ~rule_id ~addr =
       invalid_arg
         (Printf.sprintf "Tcam.write: address 0x%x already holds entry %d" addr id)
   | Free | Used _ -> ());
-  let payload = Hashtbl.find_opt t.payloads rule_id in
+  let payload = t.payload rule_id in
   let img =
     match Hashtbl.find_opt t.addrs rule_id with
     | Some old when old <> addr ->
@@ -81,7 +81,7 @@ let erase t ~addr =
   t.ops <- t.ops + 1;
   publish t (Image.erase t.image ~addr)
 
-let load ?(payload = fun _ -> None) t placed =
+let load t placed =
   if used_count t <> 0 then invalid_arg "Tcam.load: table is not empty";
   Array.iter
     (fun (rule_id, addr) ->
@@ -89,27 +89,10 @@ let load ?(payload = fun _ -> None) t placed =
       if Hashtbl.mem t.addrs rule_id then
         invalid_arg (Printf.sprintf "Tcam.load: entry %d placed twice" rule_id);
       Hashtbl.replace t.addrs rule_id addr;
-      Option.iter (Hashtbl.replace t.payloads rule_id) (payload rule_id);
       if not (Deadmap.is_empty t.dead) then
         ignore (Deadmap.note_success t.dead ~addr))
     placed;
-  publish t (Image.fill t.image placed (Hashtbl.find_opt t.payloads))
-
-(* A payload change on a placed id rewrites its slot; on an unplaced id
-   it still publishes, so every bind and unbind is one epoch. *)
-let rebind t id payload =
-  publish t
-    (match addr_of t id with
-    | Some addr -> Image.write t.image ~addr ~id payload
-    | None -> Image.touch t.image)
-
-let bind_rule t (r : Fr_tern.Rule.t) =
-  Hashtbl.replace t.payloads r.Fr_tern.Rule.id r;
-  rebind t r.Fr_tern.Rule.id (Some r)
-
-let unbind_rule t ~id =
-  Hashtbl.remove t.payloads id;
-  rebind t id None
+  publish t (Image.fill t.image placed t.payload)
 
 let apply_sequence t ops =
   List.iter
@@ -191,14 +174,13 @@ let copy t =
   {
     t with
     addrs = Hashtbl.copy t.addrs;
-    payloads = Hashtbl.copy t.payloads;
     dead = Deadmap.copy t.dead;
     publisher = None;
   }
 
-(* The writer's indexes against the image: every indexed id sits in the
-   slot the index names, carrying exactly the payload bound to it (or
-   none), and the image holds no other entry. *)
+(* The writer's index against the image: every indexed id sits in the
+   slot the index names, carrying exactly the payload its resolver gives
+   (or none), and the image holds no other entry. *)
 let image_consistent t =
   let err = ref None in
   let fail msg = if !err = None then err := Some msg in
@@ -206,7 +188,7 @@ let image_consistent t =
     (fun id addr ->
       match Image.read t.image addr with
       | Used id' when id' = id -> (
-          match (Hashtbl.find_opt t.payloads id, Image.rule_at t.image addr) with
+          match (t.payload id, Image.rule_at t.image addr) with
           | Some r, Some r' when r == r' -> ()
           | None, None -> ()
           | _ ->

@@ -4,20 +4,27 @@
     The slots live in one place: the copy-on-write {!Image.t} this table
     publishes.  Every read ([read], [is_free], [iter_used], ...) goes to
     the current image, and every write derives and publishes the next one.
-    Beside it the writer keeps two private indexes: id -> address (for
-    {!write}'s move semantics) and id -> bound payload (for
-    {!bind_rule}).  It counts every hardware write (the quantity that,
-    times the per-write latency, gives the paper's "TCAM update time"),
-    and can check the dependency-order invariant against a DAG. *)
+    Beside it the writer keeps one private index, id -> address (for
+    {!write}'s move semantics).  A write carries its payload: the table
+    asks the resolver its owner supplied at {!create} which rule the
+    written id stands for, so one hardware op derives exactly one image.
+    It counts every hardware write (the quantity that, times the
+    per-write latency, gives the paper's "TCAM update time"), and can
+    check the dependency-order invariant against a DAG. *)
 
 type slot = Image.slot = Free | Used of int  (** rule id *)
 
 type t
 
-val create : size:int -> t
+val create : ?payload:(int -> Fr_tern.Rule.t option) -> size:int -> unit -> t
 (** All slots free, with a fresh empty {!Deadmap} attached (use
     {!adopt_deadmap} when a restarting switch should keep what it
-    learnt about its hardware). *)
+    learnt about its hardware).  [payload] resolves a rule id to the
+    rule its slot carries; every {!write} and {!load} asks it at the
+    moment the slot is written (default: no id resolves, so slots hold
+    ids that never match).  An owner that resolves from its own rule
+    store makes that store the only id -> rule table: a rule enters it
+    before the op that writes its slot and leaves after the erase. *)
 
 val size : t -> int
 val used_count : t -> int
@@ -44,13 +51,12 @@ val erase : t -> addr:int -> unit
 (** Raw hardware erase.  Freeing a free slot is allowed (counts as an op —
     the firmware did issue it). *)
 
-val load : ?payload:(int -> Fr_tern.Rule.t option) -> t -> (int * int) array -> unit
+val load : t -> (int * int) array -> unit
 (** [load t placed] puts every [(rule_id, addr)] of [placed] into the
     empty table [t] at once: the image's chunks are built in one pass and
-    published once, each id bound to [payload rule_id] when that is
-    [Some] (default: none bound).  A bulk load is set-up, not an update,
-    so no op is counted; the dead map sees one success per address, as
-    for {!write}.
+    published once, each slot carrying what the resolver gives for its
+    id.  A bulk load is set-up, not an update, so no op is counted; the
+    dead map sees one success per address, as for {!write}.
     @raise Invalid_argument if [t] has entries, or on a repeated id or
     address, or an address out of range. *)
 
@@ -117,40 +123,30 @@ val writable_free_in : t -> lo:int -> hi:int -> int option
 
 val image : t -> Image.t
 (** The current published snapshot.  Re-derived (copy-on-write: one chunk
-    and its O(log{_32} n) interior path) by every {!write} / {!erase} /
-    {!bind_rule} / {!unbind_rule}, so it always reflects exactly the
-    committed ops — a reader holding it sees a consistent table even while
-    a cascade is mid-flight. *)
+    and its O(log{_32} n) interior path) by every {!write} and {!erase},
+    one image per op, so it always reflects exactly the committed ops — a
+    reader holding it sees a consistent table even while a cascade is
+    mid-flight. *)
 
 val set_publisher : t -> (Image.t -> unit) option -> unit
 (** Install the publication hook: called with the fresh image after every
-    op that changes it.  {!Fr_switch.Agent} points this at an [Atomic.t]
-    so concurrent readers pick up each committed step with one atomic
-    load ({i the} epoch/RCU pointer swap). *)
-
-val bind_rule : t -> Fr_tern.Rule.t -> unit
-(** Bind a rule payload to its id (and publish): a placed id's slot is
-    rewritten to carry it, and any later {!write} of the id carries it.
-    Bound {e before} the insertion sequence commits so every mid-cascade
-    snapshot can resolve the id it is about to see. *)
-
-val unbind_rule : t -> id:int -> unit
-(** Drop a payload (and publish), after a removal commits.  A slot still
-    holding the id stays occupied but no longer matches. *)
+    op.  {!Fr_switch.Agent} points this at an [Atomic.t] so concurrent
+    readers pick up each committed step with one atomic load ({i the}
+    epoch/RCU pointer swap). *)
 
 val image_consistent : t -> (unit, string) result
-(** Cross-check the writer's indexes against the published image: every
+(** Cross-check the writer's index against the published image: every
     id in the id -> address index occupies exactly that slot and carries
-    exactly its bound payload (or none), and the image holds as many
-    entries as the index.  {!Fr_sched.Check.sequence} runs this after
-    every simulated op, so a verified sequence proves each publication
-    point is coherent. *)
+    exactly the payload the resolver gives for it (physically the same
+    rule, or none), and the image holds as many entries as the index.
+    {!Fr_sched.Check.sequence} runs this after every simulated op, so a
+    verified sequence proves each publication point is coherent. *)
 
 val copy : t -> t
-(** Copy of the indexes and counters, including an independent copy of
-    the dead map.  The image is shared (it is immutable) but the copy's
-    publisher is [None]: simulation copies must never publish phantom
-    states. *)
+(** Copy of the index and counters, including an independent copy of
+    the dead map.  The image and the payload resolver are shared (the
+    image is immutable) but the copy's publisher is [None]: simulation
+    copies must never publish phantom states. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -112,12 +112,3 @@ let packet_in rng field =
     p_dst_ip = bits_in chunks ~lo:40 ~len:32;
     p_src_ip = bits_in chunks ~lo:72 ~len:32;
   }
-
-let pp_field ppf f =
-  Format.fprintf ppf "src=%a dst=%a sport=%a dport=%a proto=%a" Ternary.pp
-    f.src_ip Ternary.pp f.dst_ip Ternary.pp f.src_port Ternary.pp f.dst_port
-    Ternary.pp f.proto
-
-let pp_packet ppf p =
-  Format.fprintf ppf "src=%Lx dst=%Lx sport=%d dport=%d proto=%d" p.p_src_ip
-    p.p_dst_ip p.p_src_port p.p_dst_port p.p_proto

@@ -60,6 +60,3 @@ val random_packet : Fr_prng.Rng.t -> packet
 val packet_in : Fr_prng.Rng.t -> Ternary.t -> packet
 (** [packet_in rng field] samples a packet matched by the given 104-bit
     field — used to exercise lookup paths on purpose-built packets. *)
-
-val pp_field : Format.formatter -> field_spec -> unit
-val pp_packet : Format.formatter -> packet -> unit

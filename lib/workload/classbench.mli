@@ -11,7 +11,3 @@ val generate :
   Profile.t -> Fr_prng.Rng.t -> n:int -> id_base:int -> Fr_tern.Rule.t array
 (** [generate profile rng ~n ~id_base] — exactly [n] rules with ids
     [id_base .. id_base + n - 1].  Deterministic in the generator state. *)
-
-val priority_of_field : Fr_tern.Ternary.t -> int
-(** The cared-bit count used as priority (exposed so update generators can
-    price synthetic refinements consistently). *)

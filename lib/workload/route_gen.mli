@@ -19,6 +19,3 @@ val generate :
   Fr_tern.Rule.t array
 (** Exactly [n] distinct prefixes.  [refine_prob] (default 0.33) is the
     probability that a prefix refines an existing one. *)
-
-val plen_distribution : (float * int) array
-(** The fresh-prefix length distribution (exposed for tests). *)

@@ -13,6 +13,9 @@ dune build @all
 echo "== dune runtest =="
 dune runtest
 
+echo "== unused exports (every lib val named by another module) =="
+sh scripts/unused-exports.sh
+
 echo "== dune build @conform (differential smoke run) =="
 dune build @conform
 

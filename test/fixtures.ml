@@ -6,7 +6,7 @@ open Fastrule
    the dependency chains 5 -> 7 -> 8 -> 3 and 4 -> 2.  Entry ids are the
    figure's node labels; the new node is 9 with 6 -> 9 -> 5. *)
 let fig3 () =
-  let tcam = Tcam.create ~size:10 in
+  let tcam = Tcam.create ~size:10 () in
   List.iter
     (fun (id, addr) -> Tcam.write tcam ~rule_id:id ~addr)
     [ (1, 0x1); (6, 0x2); (5, 0x3); (4, 0x4); (7, 0x5); (2, 0x6); (8, 0x7); (3, 0x8) ];
@@ -31,7 +31,7 @@ let fig3_with_request () =
    DAG over them whose edges always point to higher addresses (so the
    dependency invariant holds by construction). *)
 let random_scenario rng ~size ~k ~edge_prob =
-  let tcam = Tcam.create ~size in
+  let tcam = Tcam.create ~size () in
   let addrs = Array.init size (fun i -> i) in
   Rng.shuffle rng addrs;
   let placed = Array.sub addrs 0 k in

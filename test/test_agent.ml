@@ -272,6 +272,94 @@ let prop_snapshot_roundtrip =
                   && lookups_agree (Rng.create ~seed:(seed + 2)) back))
         all_kinds)
 
+(* One image per hardware op: a write carries its rule from the agent's
+   store, so [Agent.apply] publishes exactly as many images as it issues
+   ops ([Tcam.ops_issued]), for every scheduler kind, on Adds, in-place
+   and dead-row Set_actions, Removes, a Remove whose trailing balance
+   move faults after its erase landed, a faulted Set_action and faulted
+   Adds.  Every insert
+   chain ends with the new entry's write, so a faulted Add never leaves
+   its entry placed nor its rule in the store. *)
+let test_one_image_per_op () =
+  let pool = Dataset.generate Dataset.FW5 ~seed:71 ~n:60 in
+  let partial_adds = ref 0 in
+  List.iter
+    (fun kind ->
+      let name = Firmware.algo_kind_name kind in
+      let agent = Agent.of_rules ~kind ~verify:true ~capacity:120 (Array.sub pool 0 30) in
+      let tcam = Agent.tcam agent in
+      let images = ref 0 in
+      Agent.set_publish_observer agent (Some (fun _ -> incr images));
+      let step what fm =
+        let ops0 = Tcam.ops_issued tcam and images0 = !images in
+        let r = Agent.apply agent fm in
+        check_int
+          (Printf.sprintf "%s %s: images = ops" name what)
+          (Tcam.ops_issued tcam - ops0) (!images - images0);
+        (r, Tcam.ops_issued tcam - ops0)
+      in
+      let ok what fm =
+        match step what fm with
+        | Ok (), _ -> ()
+        | Error e, _ -> Alcotest.failf "%s %s: %s" name what e
+      in
+      for i = 30 to 44 do
+        ok "add" (Agent.Add pool.(i))
+      done;
+      for i = 0 to 4 do
+        ok "set-action" (Agent.Set_action { id = pool.(i).Rule.id; action = Rule.Drop })
+      done;
+      (* Condemn the row under a live entry: its Set_action relocates
+         through Remove + Add. *)
+      let id = pool.(5).Rule.id in
+      let addr = Option.get (Tcam.addr_of tcam id) in
+      while not (Tcam.is_dead tcam addr) do
+        ignore (Tcam.note_write_failure tcam ~addr)
+      done;
+      ok "dead-row set-action" (Agent.Set_action { id; action = Rule.Drop });
+      check (name ^ " relocated") true (Tcam.addr_of tcam id <> Some addr);
+      for i = 6 to 11 do
+        ok "remove" (Agent.Remove { id = pool.(i).Rule.id })
+      done;
+      (* Each slot carries the store's rule, rewritten actions included. *)
+      check (name ^ " consistent") true (Agent.verify_consistent agent = Ok ());
+      (* A stuck lowest row: its entry's erase lands, and FR-SB's balance
+         move into the hole fails after it. *)
+      let low = Option.get (Tcam.first_used tcam (fun _ -> true)) in
+      let id = match Tcam.read tcam low with Tcam.Used id -> id | Tcam.Free -> -1 in
+      Agent.set_fault agent (Some (Fault.create ~stuck:[ low ] ~seed:1 ()));
+      (match step "faulted remove" (Agent.Remove { id }) with
+      | Error e, _ ->
+          check (name ^ " erase landed") true
+            (String.starts_with ~prefix:"fault:" e && not (Tcam.mem tcam id))
+      | Ok (), _ -> check (name ^ " only fr-sb balances") true (name <> "fr-sb"));
+      check (name ^ " removed from the store") true (Agent.rule agent id = None);
+      (* Every occupied row stuck: a chain's first op lands in free space
+         and the next write, into a vacated row, fails. *)
+      let used = ref [] in
+      Tcam.iter_used tcam (fun ~addr ~rule_id:_ -> used := addr :: !used);
+      Agent.set_fault agent (Some (Fault.create ~stuck:!used ~seed:2 ()));
+      let id = pool.(0).Rule.id in
+      let old = Option.get (Agent.rule agent id) in
+      (match step "faulted set-action" (Agent.Set_action { id; action = Rule.Forward 9 }) with
+      | Error _, _ ->
+          check (name ^ " old rule restored") true (Option.get (Agent.rule agent id) == old);
+          check (name ^ " consistent after fault") true
+            (Agent.verify_consistent agent = Ok ())
+      | Ok (), _ -> Alcotest.failf "%s: a stuck row took a write" name);
+      for i = 45 to 59 do
+        let id = pool.(i).Rule.id in
+        match step "faulted add" (Agent.Add pool.(i)) with
+        | Ok (), _ -> ()
+        | Error e, ops ->
+            if String.starts_with ~prefix:"fault:" e && ops > 0 then incr partial_adds;
+            check (name ^ " faulted add not placed") false (Tcam.mem tcam id);
+            check (name ^ " faulted add not stored") true (Agent.rule agent id = None)
+      done;
+      Agent.set_fault agent None)
+    all_kinds;
+  check "some faulted add landed moves first" true (!partial_adds > 0)
+
 let test_meters () =
   let rules = small_policy () in
   let agent = Agent.of_rules ~capacity:200 rules in
@@ -302,5 +390,6 @@ let suite =
         Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
         Alcotest.test_case "meters" `Quick test_meters;
         QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
+        Alcotest.test_case "one image per hardware op" `Quick test_one_image_per_op;
       ] );
   ]

@@ -3,7 +3,7 @@ open Fastrule
 let check = Alcotest.(check bool)
 
 let setup () =
-  let tcam = Tcam.create ~size:10 in
+  let tcam = Tcam.create ~size:10 () in
   List.iter (fun (id, a) -> Tcam.write tcam ~rule_id:id ~addr:a)
     [ (1, 2); (2, 5); (3, 8) ];
   tcam

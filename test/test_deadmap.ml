@@ -80,7 +80,7 @@ let test_deadmap_mark_intervals () =
 (* --- the Tcam hooks ----------------------------------------------------- *)
 
 let test_tcam_hooks () =
-  let tcam = Tcam.create ~size:8 in
+  let tcam = Tcam.create ~size:8 () in
   check "default threshold condemns on first failure" true
     (Tcam.note_write_failure tcam ~addr:3);
   check "tcam sees the dead row" true (Tcam.is_dead tcam 3);
@@ -104,7 +104,7 @@ let test_tcam_hooks () =
   (* adopt_deadmap: restart path *)
   let dm = Deadmap.create ~size:8 () in
   ignore (Deadmap.mark dm ~addr:5);
-  let fresh = Tcam.create ~size:8 in
+  let fresh = Tcam.create ~size:8 () in
   Tcam.adopt_deadmap fresh dm;
   check "adopted map answers" true (Tcam.is_dead fresh 5);
   let wrong = Deadmap.create ~size:4 () in

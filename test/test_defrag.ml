@@ -6,7 +6,7 @@ let check_int = Alcotest.(check int)
 let layouts = [ Layout.Original; Layout.Interleaved 4; Layout.Interleaved 1; Layout.Separated ]
 
 let scattered_tcam rng ~size ~k =
-  let tcam = Tcam.create ~size in
+  let tcam = Tcam.create ~size () in
   let addrs = Array.init size Fun.id in
   Rng.shuffle rng addrs;
   let placed = Array.sub addrs 0 k in
@@ -66,7 +66,7 @@ let test_intermediate_safety () =
     layouts
 
 let test_empty_table () =
-  let tcam = Tcam.create ~size:16 in
+  let tcam = Tcam.create ~size:16 () in
   List.iter
     (fun layout ->
       check "empty is canonical" true (Defrag.is_canonical tcam ~layout);
@@ -79,7 +79,7 @@ let test_single_entry () =
     (fun layout ->
       (* one entry marooned at the top: the plan is at most one move and
          lands it on the layout's canonical slot for a 1-entry table *)
-      let tcam = Tcam.create ~size:16 in
+      let tcam = Tcam.create ~size:16 () in
       Tcam.write tcam ~rule_id:5 ~addr:15;
       let ops = Defrag.plan tcam ~layout in
       check "at most one move" true (List.length ops <= 1);
@@ -101,7 +101,7 @@ let test_moves_bounded () =
     layouts
 
 let test_does_not_fit () =
-  let tcam = Tcam.create ~size:8 in
+  let tcam = Tcam.create ~size:8 () in
   for a = 0 to 5 do
     Tcam.write tcam ~rule_id:a ~addr:a
   done;
@@ -138,7 +138,7 @@ let test_full_occupancy () =
   (* every slot used: Original and Separated are already canonical (their
      placement is the identity at n = size), and a layout that needs gaps
      must refuse rather than emit a colliding plan *)
-  let tcam = Tcam.create ~size:16 in
+  let tcam = Tcam.create ~size:16 () in
   for a = 0 to 15 do
     Tcam.write tcam ~rule_id:(100 + a) ~addr:a
   done;
@@ -189,7 +189,7 @@ let test_holes_at_region_boundaries () =
 let test_holes_shrink_capacity () =
   (* 10 entries, 12 rows, 3 dead: the writable space is too small and the
      planner must say so instead of silently stacking entries *)
-  let tcam = Tcam.create ~size:12 in
+  let tcam = Tcam.create ~size:12 () in
   for a = 0 to 9 do
     Tcam.write tcam ~rule_id:(100 + a) ~addr:a
   done;

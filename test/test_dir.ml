@@ -19,7 +19,7 @@ let test_unconstrained_entry () =
   (* A node with no edges: free to move anywhere in either direction. *)
   let g = Graph.create () in
   Graph.add_node g 1;
-  let tcam = Tcam.create ~size:16 in
+  let tcam = Tcam.create ~size:16 () in
   Tcam.write tcam ~rule_id:1 ~addr:7;
   check_int "Up bound = top of table" 15 (Dir.bound Dir.Up g tcam 1);
   check_int "Down bound = bottom of table" 0 (Dir.bound Dir.Down g tcam 1);
@@ -34,7 +34,7 @@ let test_empty_tcam () =
   let g = Graph.create () in
   List.iter (Graph.add_node g) [ 1; 2 ];
   Graph.add_edge g 1 2;
-  let tcam = Tcam.create ~size:8 in
+  let tcam = Tcam.create ~size:8 () in
   check_int "Up bound ignores unplaced dependency" 7 (Dir.bound Dir.Up g tcam 1);
   check_int "Down bound ignores unplaced dependent" 0 (Dir.bound Dir.Down g tcam 2);
   check "next hop none (empty table)" true
@@ -51,7 +51,7 @@ let test_nearest_constraint_wins () =
   Graph.add_edge g 1 3;
   Graph.add_edge g 4 3;
   Graph.add_edge g 5 3;
-  let tcam = Tcam.create ~size:32 in
+  let tcam = Tcam.create ~size:32 () in
   Tcam.write tcam ~rule_id:1 ~addr:0;
   Tcam.write tcam ~rule_id:4 ~addr:2;
   Tcam.write tcam ~rule_id:5 ~addr:4;
@@ -72,7 +72,7 @@ let test_partial_placement () =
   List.iter (Graph.add_node g) [ 1; 2; 3 ];
   Graph.add_edge g 1 2;
   Graph.add_edge g 1 3;
-  let tcam = Tcam.create ~size:16 in
+  let tcam = Tcam.create ~size:16 () in
   Tcam.write tcam ~rule_id:1 ~addr:1;
   Tcam.write tcam ~rule_id:3 ~addr:11;
   check_int "bound from the placed dependency" 11 (Dir.bound Dir.Up g tcam 1);

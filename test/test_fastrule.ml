@@ -34,7 +34,7 @@ let test_fig3_sequence_all_backends () =
     Store.all_backends
 
 let test_direct_free () =
-  let tcam = Tcam.create ~size:4 in
+  let tcam = Tcam.create ~size:4 () in
   Tcam.write tcam ~rule_id:0 ~addr:0;
   let graph = Graph.create () in
   Graph.add_node graph 0;
@@ -48,7 +48,7 @@ let test_direct_free () =
 let test_insert_between_adjacent () =
   (* Dependent directly below dependency: the window is exactly the
      dependency's slot, which must be displaced. *)
-  let tcam = Tcam.create ~size:4 in
+  let tcam = Tcam.create ~size:4 () in
   Tcam.write tcam ~rule_id:0 ~addr:0;
   Tcam.write tcam ~rule_id:1 ~addr:1;
   let graph = Graph.create () in

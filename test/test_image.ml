@@ -1,7 +1,7 @@
 (* The published-image layer: immutable copy-on-write snapshots, epoch
-   publication, the bind/unbind payload protocol, wait-free readers racing
-   a writer, and the unboxed-key lookup against the reference scan and
-   the software backend. *)
+   publication, writes that carry the payload their table's resolver
+   gives, wait-free readers racing a writer, and the unboxed-key lookup
+   against the reference scan and the software backend. *)
 
 open Fastrule
 module Backend = Fr_plane.Backend
@@ -59,20 +59,29 @@ let test_move_vacates () =
     (Image.fold v ~init:true ~f:(fun acc ~addr ~rule_id:_ -> acc && addr <> 2))
 
 let test_unbound_skipped () =
-  (* A slot whose payload is not bound must not answer lookups. *)
+  (* A slot whose id the resolver knows no rule for must not answer
+     lookups; a write carries whatever the resolver gives at that
+     moment, and the consistency check compares slots against it. *)
   let r = mk 4 24 24 0x0A000100L in
   let rng = Rng.create ~seed:9 in
   let pkt = Header.packet_in rng r.Rule.field in
-  let t = Tcam.create ~size:8 in
+  let store = Hashtbl.create 4 in
+  let t = Tcam.create ~payload:(Hashtbl.find_opt store) ~size:8 () in
   Tcam.write t ~rule_id:4 ~addr:1;
-  check "unbound miss" true (Image.lookup (Tcam.image t) pkt = None);
-  Tcam.bind_rule t r;
-  check "bound hit" true
+  check "unresolved miss" true (Image.lookup (Tcam.image t) pkt = None);
+  Hashtbl.replace store 4 r;
+  check "slot behind the resolver is inconsistent" true
+    (Result.is_error (Tcam.image_consistent t));
+  Tcam.write t ~rule_id:4 ~addr:1;
+  check "rewrite carries the rule" true
     (match Image.lookup (Tcam.image t) pkt with
     | Some x -> x.Rule.id = 4
     | None -> false);
-  Tcam.unbind_rule t ~id:4;
-  check "unbind hides again" true (Image.lookup (Tcam.image t) pkt = None);
+  check "consistent again" true (Result.is_ok (Tcam.image_consistent t));
+  Hashtbl.remove store 4;
+  Tcam.write t ~rule_id:4 ~addr:1;
+  check "rewrite without a rule hides again" true
+    (Image.lookup (Tcam.image t) pkt = None);
   check "slot stays occupied" true (Image.read (Tcam.image t) 1 = Image.Used 4)
 
 let test_tcam_publishes () =
@@ -102,7 +111,7 @@ let test_tcam_publishes () =
   check "snapshot = live lookup" true !agree
 
 let test_epoch_per_op () =
-  let t = Tcam.create ~size:16 in
+  let t = Tcam.create ~size:16 () in
   let e0 = Image.epoch (Tcam.image t) in
   Tcam.write t ~rule_id:1 ~addr:0;
   let e1 = Image.epoch (Tcam.image t) in
@@ -115,7 +124,7 @@ let test_epoch_per_op () =
 let test_copy_does_not_publish () =
   (* Simulation copies (Check.sequence) share the image but must never
      call the parent's publisher. *)
-  let t = Tcam.create ~size:8 in
+  let t = Tcam.create ~size:8 () in
   let fired = ref 0 in
   Tcam.set_publisher t (Some (fun _ -> incr fired));
   Tcam.write t ~rule_id:1 ~addr:0;
@@ -135,10 +144,10 @@ let test_publish_allocation_bound () =
   let per_op_bound = 1024.0 in
   List.iter
     (fun n ->
-      let t = Tcam.create ~size:(2 * n) in
       (* Distinct prefixes under three care masks. *)
-      let rule i = mk i 0 (24 - (i mod 3)) (Int64.of_int (i lsl 10)) in
-      Tcam.load ~payload:(fun i -> Some (rule i)) t (Array.init n (fun i -> (i, 2 * i)));
+      let rules = Array.init n (fun i -> mk i 0 (24 - (i mod 3)) (Int64.of_int (i lsl 10))) in
+      let t = Tcam.create ~payload:(fun i -> Some rules.(i)) ~size:(2 * n) () in
+      Tcam.load t (Array.init n (fun i -> (i, 2 * i)));
       check (Printf.sprintf "%d entries indexed" n) true (Image.indexed (Tcam.image t));
       let before = Gc.minor_words () in
       (* Move each entry to the far end of the table: two chunks, two
@@ -152,7 +161,7 @@ let test_publish_allocation_bound () =
            per_op_bound)
         true (per_op < per_op_bound);
       check "still consistent" true (Result.is_ok (Tcam.image_consistent t));
-      let pkt = Header.packet_in (Rng.create ~seed:n) (rule 7).Rule.field in
+      let pkt = Header.packet_in (Rng.create ~seed:n) rules.(7).Rule.field in
       check "moved entry answers" true (Image.lookup_id (Tcam.image t) pkt = Some 7))
     [ 4096; 65536 ]
 
@@ -160,7 +169,7 @@ let test_consistency_catches_bad_index () =
   (* The cross-check must be able to fail: an index entry naming the wrong
      slot (occupied by another id, or free) is a desync. *)
   let fresh () =
-    let t = Tcam.create ~size:64 in
+    let t = Tcam.create ~size:64 () in
     Tcam.load t [| (1, 3); (2, 20); (3, 40) |];
     t
   in
@@ -183,14 +192,10 @@ let test_load_matches_writes () =
   let rules = Dataset.generate Dataset.ACL4 ~seed:31 ~n:200 in
   let placed = Array.mapi (fun i (r : Rule.t) -> (r.Rule.id, (3 * i) + 1)) rules in
   let by_id id = Array.find_opt (fun (r : Rule.t) -> r.Rule.id = id) rules in
-  let bulk = Tcam.create ~size:700 in
-  Tcam.load ~payload:by_id bulk placed;
-  let step = Tcam.create ~size:700 in
-  Array.iter
-    (fun (id, addr) ->
-      Option.iter (Tcam.bind_rule step) (by_id id);
-      Tcam.write step ~rule_id:id ~addr)
-    placed;
+  let bulk = Tcam.create ~payload:by_id ~size:700 () in
+  Tcam.load bulk placed;
+  let step = Tcam.create ~payload:by_id ~size:700 () in
+  Array.iter (fun (id, addr) -> Tcam.write step ~rule_id:id ~addr) placed;
   let slots t = Image.fold (Tcam.image t) ~init:[] ~f:(fun acc ~addr ~rule_id -> (addr, rule_id) :: acc) in
   check "same slots" true (slots bulk = slots step);
   check_int "load counts no ops" 0 (Tcam.ops_issued bulk);
@@ -270,19 +275,15 @@ let check_case { size; width; seed } =
       addrs
   in
   let rule id = List.nth rules id in
-  let t = Tcam.create ~size in
-  (* One id in five stays unbound while placed; bulk-load or write one by
-     one, then move a few entries to free slots and erase a few. *)
+  (* The resolver knows no rule for one id in five; bulk-load or write
+     one by one, then move a few entries to free slots and erase a few. *)
   let bound = Array.init (List.length rules) (fun _ -> Rng.int rng 5 > 0) in
+  let t =
+    Tcam.create ~payload:(fun id -> if bound.(id) then Some (rule id) else None) ~size ()
+  in
   let placed = Array.of_list (List.mapi (fun id a -> (id, a)) addrs) in
-  if Rng.bool rng then
-    Tcam.load t placed ~payload:(fun id -> if bound.(id) then Some (rule id) else None)
-  else
-    Array.iter
-      (fun (id, a) ->
-        if bound.(id) then Tcam.bind_rule t (rule id);
-        Tcam.write t ~rule_id:id ~addr:a)
-      placed;
+  if Rng.bool rng then Tcam.load t placed
+  else Array.iter (fun (id, a) -> Tcam.write t ~rule_id:id ~addr:a) placed;
   for _ = 1 to 4 do
     let id = Rng.int rng (List.length rules) in
     match (Tcam.addr_of t id, Tcam.lowest_free t) with
@@ -290,14 +291,9 @@ let check_case { size; width; seed } =
     | Some a, _ -> Tcam.erase t ~addr:a
     | None, _ -> ()
   done;
-  (* Bound but never placed: must never answer. *)
-  let ghost =
-    Rule.make ~id:10_000 ~field:(Ternary.any width) ~action:Rule.Drop ~priority:0
-  in
-  Tcam.bind_rule t ghost;
   let img = Tcam.image t in
-  (* The reference: a bit-by-bit scan of the table with unbound entries
-     erased (they hold a slot but never match). *)
+  (* The reference: a bit-by-bit scan of the table with unresolved
+     entries erased (they hold a slot but never match). *)
   let reference = Tcam.copy t in
   Array.iter
     (fun (id, _) ->
@@ -311,7 +307,7 @@ let check_case { size; width; seed } =
     @ List.init 16 (fun _ -> Header.random_packet rng)
   in
   let answers = List.map (fun pkt -> Tcam.lookup reference ~rules:rule pkt) packets in
-  (* Not vacuous: a packet drawn near a bound entry's field hits
+  (* Not vacuous: a packet drawn near a resolved entry's field hits
      something (fields wider than 104 bits may require bits no packet
      has). *)
   let any_bound = Tcam.used_count reference > 0 in
@@ -339,9 +335,9 @@ let prop_lookup_differential =
            (int_bound 1_000_000)))
     check_case
 
-(* The index against a linear scan: random write/move/erase/touch
-   sequences over rules drawn from a small field pool (so equal fields sit
-   at several addresses), one payload in five unbound, growing past
+(* The index against a linear scan: random write/move/erase sequences
+   over rules drawn from a small field pool (so equal fields sit at
+   several addresses), one payload in five missing, growing past
    [Image.index_min] entries, shrinking below half of it and growing
    again, so the index is built, edited and dropped. *)
 let scan_lookup img pkt =
@@ -411,13 +407,12 @@ let check_index_walk seed =
               Image.move img ~src:a ~dst:(free img) ~id r
           | Image.Free -> img)
       | 6, Some a -> (
-          (* An action rewrite in place, or an unbind. *)
+          (* An action rewrite in place, or a rewrite without payload. *)
           match (Image.read img a, Image.rule_at img a) with
           | Image.Used id, Some r when Rng.bool rng ->
               Image.write img ~addr:a ~id (Some (Rule.with_action r Rule.Drop))
           | Image.Used id, _ -> Image.write img ~addr:a ~id None
           | Image.Free, _ -> img)
-      | 7, _ -> Image.touch img
       | _, _ ->
           (* Overwrite any slot, free or not, with a fresh entry. *)
           let id, r = fresh () in
@@ -443,7 +438,8 @@ let test_readers_race_writer () =
      writer churns slots.  Each reader checks it only ever observes fully
      bound, monotonically-published snapshots. *)
   let rules = Array.init 64 (fun i -> mk i (8 + (i mod 16)) 24 (Int64.of_int (i * 256))) in
-  let t = Tcam.create ~size:128 in
+  let store = Hashtbl.create 64 in
+  let t = Tcam.create ~payload:(Hashtbl.find_opt store) ~size:128 () in
   let published = Atomic.make (Tcam.image t) in
   Tcam.set_publisher t (Some (fun img -> Atomic.set published img));
   let stop = Atomic.make false in
@@ -458,8 +454,9 @@ let test_readers_race_writer () =
       let e = Image.epoch img in
       if e < !last_epoch then incr bad;
       last_epoch := e;
-      (* Every slot in a published snapshot must resolve its payload:
-         binds happen before writes, unbinds after erases. *)
+      (* Every slot in a published snapshot must carry its payload: a
+         rule enters the store before its write and leaves after its
+         erase. *)
       Image.iter img (fun ~addr ~rule_id:_ ->
           if Image.rule_at img addr = None then incr bad);
       let pkt = Header.packet_in rng rules.(Rng.int rng 64).Rule.field in
@@ -478,7 +475,7 @@ let test_readers_race_writer () =
     let bank = if round land 1 = 0 then 0 else 64 in
     Array.iteri
       (fun i r ->
-        Tcam.bind_rule t r;
+        Hashtbl.replace store i r;
         Tcam.write t ~rule_id:i ~addr:(bank + i))
       rules;
     Array.iteri
@@ -487,7 +484,7 @@ let test_readers_race_writer () =
           match Tcam.addr_of t i with
           | Some a ->
               Tcam.erase t ~addr:a;
-              Tcam.unbind_rule t ~id:i
+              Hashtbl.remove store i
           | None -> ()
         end)
       rules

@@ -25,7 +25,7 @@ let test_fig3_paths () =
 
 let test_nearest_hop_selection () =
   (* A node with two dependencies follows the nearer (lower) address. *)
-  let tcam = Tcam.create ~size:8 in
+  let tcam = Tcam.create ~size:8 () in
   Tcam.write tcam ~rule_id:0 ~addr:0;
   Tcam.write tcam ~rule_id:1 ~addr:3;
   Tcam.write tcam ~rule_id:2 ~addr:6;
@@ -38,7 +38,7 @@ let test_nearest_hop_selection () =
 
 let test_down_direction_mirrors () =
   (* Down metric follows dependents toward lower addresses. *)
-  let tcam = Tcam.create ~size:8 in
+  let tcam = Tcam.create ~size:8 () in
   Tcam.write tcam ~rule_id:0 ~addr:1;
   Tcam.write tcam ~rule_id:1 ~addr:4;
   Tcam.write tcam ~rule_id:2 ~addr:6;
@@ -56,7 +56,7 @@ let test_down_direction_mirrors () =
 
 let test_absent_deps_ignored () =
   (* Dependencies not present in the TCAM do not constrain or count. *)
-  let tcam = Tcam.create ~size:4 in
+  let tcam = Tcam.create ~size:4 () in
   Tcam.write tcam ~rule_id:0 ~addr:0;
   let g = Graph.create () in
   Graph.add_edge g 0 99 (* 99 not stored *);

@@ -9,7 +9,7 @@ let ok = function
 
 (* Three entries packed at the bottom of an 8-slot TCAM. *)
 let setup () =
-  let tcam = Tcam.create ~size:8 in
+  let tcam = Tcam.create ~size:8 () in
   List.iter (fun (id, a) -> Tcam.write tcam ~rule_id:id ~addr:a)
     [ (0, 0); (1, 1); (2, 2) ];
   Tcam.reset_counters tcam;
@@ -71,7 +71,7 @@ let test_delete () =
   check "priority dropped" true (Naive.priority_of st 1 = None)
 
 let test_renumber_on_gap_exhaustion () =
-  let tcam = Tcam.create ~size:64 in
+  let tcam = Tcam.create ~size:64 () in
   Tcam.write tcam ~rule_id:0 ~addr:0;
   Tcam.write tcam ~rule_id:1 ~addr:1;
   let st = Naive.create ~tcam in
@@ -93,7 +93,7 @@ let test_renumber_on_gap_exhaustion () =
   check "last below above" true (a 30 < a 1 && a 30 > a 0)
 
 let test_full_table_error () =
-  let tcam = Tcam.create ~size:2 in
+  let tcam = Tcam.create ~size:2 () in
   Tcam.write tcam ~rule_id:0 ~addr:0;
   Tcam.write tcam ~rule_id:1 ~addr:1;
   let st = Naive.create ~tcam in

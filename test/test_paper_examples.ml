@@ -31,7 +31,7 @@ let fig1_rules =
 let fig1_setup () =
   let graph = Dag_build.compile fig1_rules in
   let order = Dataset.precedence_order fig1_rules in
-  let tcam = Tcam.create ~size:6 in
+  let tcam = Tcam.create ~size:6 () in
   Array.iteri (fun i id -> Tcam.write tcam ~rule_id:id ~addr:(i + 1)) order;
   Tcam.reset_counters tcam;
   (graph, tcam)

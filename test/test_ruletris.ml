@@ -21,7 +21,7 @@ let test_prefers_fewer_moves_than_greedy_can () =
   (* A window where the nearest-chain metric misleads the greedy:
      occupant at the low address has a short chain bound, the one above
      has direct access to free space.  The DP must find the 2-op path. *)
-  let tcam = Tcam.create ~size:6 in
+  let tcam = Tcam.create ~size:6 () in
   (* 0:a 1:b 2:c 3..5 free;  a->b (a below b). *)
   List.iter (fun (id, addr) -> Tcam.write tcam ~rule_id:id ~addr)
     [ (0, 0); (1, 1); (2, 2) ];
@@ -39,7 +39,7 @@ let test_prefers_fewer_moves_than_greedy_can () =
   check_int "optimal 3 ops" 3 (List.length ops)
 
 let test_direct_free_slot () =
-  let tcam = Tcam.create ~size:4 in
+  let tcam = Tcam.create ~size:4 () in
   Tcam.write tcam ~rule_id:0 ~addr:0;
   let graph = Graph.create () in
   Graph.add_node graph 0;
@@ -60,7 +60,7 @@ let test_min_cost_hook () =
 
 let test_unreachable () =
   (* Full TCAM: no sequence exists. *)
-  let tcam = Tcam.create ~size:2 in
+  let tcam = Tcam.create ~size:2 () in
   Tcam.write tcam ~rule_id:0 ~addr:0;
   Tcam.write tcam ~rule_id:1 ~addr:1;
   let graph = Graph.create () in

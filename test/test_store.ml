@@ -42,7 +42,7 @@ let test_min_in_agree_across_backends () =
 let test_min_in_tiebreak_up () =
   (* Ties go to the candidate nearest the entries: the lowest address for
      the upward direction. *)
-  let tcam = Tcam.create ~size:8 in
+  let tcam = Tcam.create ~size:8 () in
   Tcam.write tcam ~rule_id:0 ~addr:3;
   let g = Graph.create () in
   Graph.add_node g 0;
@@ -61,7 +61,7 @@ let test_min_in_tiebreak_up () =
 
 let test_min_in_tiebreak_down () =
   (* Mirror: the highest address for the downward direction. *)
-  let tcam = Tcam.create ~size:8 in
+  let tcam = Tcam.create ~size:8 () in
   Tcam.write tcam ~rule_id:0 ~addr:3;
   let g = Graph.create () in
   Graph.add_node g 0;

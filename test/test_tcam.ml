@@ -4,7 +4,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let test_create_read () =
-  let t = Tcam.create ~size:8 in
+  let t = Tcam.create ~size:8 () in
   check_int "size" 8 (Tcam.size t);
   check_int "free" 8 (Tcam.free_count t);
   check "slot free" true (Tcam.read t 0 = Tcam.Free);
@@ -12,7 +12,7 @@ let test_create_read () =
     (fun () -> ignore (Tcam.read t 8))
 
 let test_write_erase () =
-  let t = Tcam.create ~size:8 in
+  let t = Tcam.create ~size:8 () in
   Tcam.write t ~rule_id:42 ~addr:3;
   check "used" true (Tcam.read t 3 = Tcam.Used 42);
   check "addr_of" true (Tcam.addr_of t 42 = Some 3);
@@ -23,7 +23,7 @@ let test_write_erase () =
   check_int "ops" 2 (Tcam.ops_issued t)
 
 let test_move_semantics () =
-  let t = Tcam.create ~size:8 in
+  let t = Tcam.create ~size:8 () in
   Tcam.write t ~rule_id:1 ~addr:2;
   Tcam.write t ~rule_id:1 ~addr:5;
   check "new slot" true (Tcam.read t 5 = Tcam.Used 1);
@@ -32,7 +32,7 @@ let test_move_semantics () =
   check_int "used stays 1" 1 (Tcam.used_count t)
 
 let test_clobber_rejected () =
-  let t = Tcam.create ~size:8 in
+  let t = Tcam.create ~size:8 () in
   Tcam.write t ~rule_id:1 ~addr:2;
   Alcotest.check_raises "clobber"
     (Invalid_argument "Tcam.write: address 0x2 already holds entry 1")
@@ -43,7 +43,7 @@ let test_clobber_rejected () =
 
 let test_apply_sequence_chain () =
   (* Chain in application order: the free-slot op first. *)
-  let t = Tcam.create ~size:8 in
+  let t = Tcam.create ~size:8 () in
   Tcam.write t ~rule_id:10 ~addr:0;
   Tcam.write t ~rule_id:11 ~addr:1;
   let ops =
@@ -55,7 +55,7 @@ let test_apply_sequence_chain () =
   check "11 at 2" true (Tcam.read t 2 = Tcam.Used 11)
 
 let test_iter_and_scans () =
-  let t = Tcam.create ~size:8 in
+  let t = Tcam.create ~size:8 () in
   Tcam.write t ~rule_id:5 ~addr:1;
   Tcam.write t ~rule_id:6 ~addr:4;
   Alcotest.(check (list int)) "used ids in addr order" [ 5; 6 ] (Tcam.used_ids t);
@@ -76,7 +76,7 @@ let test_lookup_highest_wins () =
   in
   let r1 = Rule.make ~id:1 ~field:(Header.pack spec) ~action:Rule.Drop ~priority:9 in
   let rules = function 0 -> r0 | 1 -> r1 | _ -> assert false in
-  let t = Tcam.create ~size:4 in
+  let t = Tcam.create ~size:4 () in
   Tcam.write t ~rule_id:0 ~addr:0;
   Tcam.write t ~rule_id:1 ~addr:2;
   let tcp =
@@ -91,7 +91,7 @@ let test_lookup_highest_wins () =
 let test_check_dag_order () =
   let g = Graph.create () in
   Graph.add_edge g 1 2;
-  let t = Tcam.create ~size:4 in
+  let t = Tcam.create ~size:4 () in
   Tcam.write t ~rule_id:1 ~addr:0;
   Tcam.write t ~rule_id:2 ~addr:3;
   check "ok order" true (Tcam.check_dag_order t g = Ok ());
@@ -106,12 +106,12 @@ let test_check_dag_order_partial () =
   (* Absent entries are not constrained. *)
   let g = Graph.create () in
   Graph.add_edge g 1 2;
-  let t = Tcam.create ~size:4 in
+  let t = Tcam.create ~size:4 () in
   Tcam.write t ~rule_id:1 ~addr:3;
   check "partial ok" true (Tcam.check_dag_order t g = Ok ())
 
 let test_copy () =
-  let t = Tcam.create ~size:4 in
+  let t = Tcam.create ~size:4 () in
   Tcam.write t ~rule_id:7 ~addr:1;
   let t' = Tcam.copy t in
   Tcam.erase t' ~addr:1;

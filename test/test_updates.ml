@@ -55,7 +55,7 @@ let test_resolve_orientation_by_reachability () =
   let g = Graph.create () in
   Graph.add_edge g 1 2;
   (* 1 depends on 2 *)
-  let tcam = Tcam.create ~size:8 in
+  let tcam = Tcam.create ~size:8 () in
   Tcam.write tcam ~rule_id:1 ~addr:0;
   Tcam.write tcam ~rule_id:2 ~addr:5;
   let u = Updates.Insert { id = 9; anchor = Some (2, 1) } in
@@ -77,7 +77,7 @@ let test_resolve_orientation_by_reachability () =
 
 let test_resolve_missing_anchor_rejected () =
   let g = Graph.create () in
-  let tcam = Tcam.create ~size:4 in
+  let tcam = Tcam.create ~size:4 () in
   (* Either anchor may be reported first (evaluation order). *)
   check "missing anchor raises" true
     (match Updates.resolve g tcam (Updates.Insert { id = 1; anchor = Some (7, 8) }) with
