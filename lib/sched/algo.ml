@@ -35,6 +35,11 @@ let insert_window tcam ~deps ~dependents =
                  lo hi)
           else Ok (lo, hi))
 
+let touched ~scheduled applied =
+  let addrs = List.map Fr_tcam.Op.addr applied in
+  if applied == scheduled || List.equal Fr_tcam.Op.equal applied scheduled then addrs
+  else List.rev_append (List.map Fr_tcam.Op.addr scheduled) addrs
+
 let fresh_request_check tcam ~rule_id =
   if Tcam.mem tcam rule_id then
     Error (Printf.sprintf "entry %d is already stored" rule_id)

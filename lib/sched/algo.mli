@@ -50,6 +50,13 @@ val insert_window :
     entry is missing from the TCAM or [lo >= hi] (contradictory
     constraints). *)
 
+val touched : scheduled:Fr_tcam.Op.t list -> Fr_tcam.Op.t list -> int list
+(** [touched ~scheduled applied] — the addresses whose occupancy the
+    [applied] ops may have changed, for a metric refresh.  When [applied]
+    is not the whole [scheduled] sequence (a fault cut it short), every
+    scheduled address is added: the source of the last applied move is
+    left vacated, and it is the target of the next scheduled op. *)
+
 val fresh_request_check :
   Fr_tcam.Tcam.t -> rule_id:int -> (unit, string) result
 (** Inserting an entry that is already stored is a request error. *)

@@ -9,6 +9,9 @@ type state = {
   (* Entries whose metric must be revisited at the next [after_apply] even
      though their own address kept its occupant (set by schedule_delete). *)
   mutable pending_ids : int list;
+  (* The sequence last scheduled, so a truncated one can be refreshed in
+     full. *)
+  mutable pending_ops : Op.t list;
 }
 
 let create ?(backend = Store.Bit_backend) ?(dir = Dir.Up) ~graph ~tcam () =
@@ -18,6 +21,7 @@ let create ?(backend = Store.Bit_backend) ?(dir = Dir.Up) ~graph ~tcam () =
     store = Store.create ~backend ~dir graph tcam;
     dir;
     pending_ids = [];
+    pending_ops = [];
   }
 
 let store st = st.store
@@ -43,7 +47,13 @@ let schedule_chain st ~rule_id ~lo ~hi =
   in
   loop rule_id lo hi 0 []
 
+let remember st result =
+  st.pending_ops <- (match result with Ok ops -> ops | Error _ -> []);
+  result
+
 let schedule_insert st ~rule_id ~deps ~dependents =
+  remember st
+  @@
   match Algo.fresh_request_check st.tcam ~rule_id with
   | Error _ as e -> e
   | Ok () -> (
@@ -60,6 +70,8 @@ let schedule_insert st ~rule_id ~deps ~dependents =
           | Dir.Down -> schedule_chain st ~rule_id ~lo:(max 0 lo) ~hi:(hi - 1)))
 
 let schedule_delete st ~rule_id =
+  remember st
+  @@
   match Tcam.addr_of st.tcam rule_id with
   | None -> Error (Printf.sprintf "entry %d is not in the TCAM" rule_id)
   | Some addr ->
@@ -72,7 +84,8 @@ let schedule_delete st ~rule_id =
       Ok [ Op.delete ~addr ]
 
 let after_apply st ops =
-  let addrs = List.map Op.addr ops in
+  let addrs = Algo.touched ~scheduled:st.pending_ops ops in
+  st.pending_ops <- [];
   let ids = st.pending_ids in
   st.pending_ids <- [];
   Store.refresh st.store ~addrs ~ids

@@ -380,7 +380,7 @@ let after_apply st ops =
         touching the table after a rejected schedule): the closure's
         assumptions are void — re-derive the regions from the hardware *)
      resync st);
-  let addrs = st.pending_addrs @ List.map Op.addr ops in
+  let addrs = st.pending_addrs @ Algo.touched ~scheduled ops in
   st.pending_addrs <- [];
   let ids = st.pending_ids in
   st.pending_ids <- [];

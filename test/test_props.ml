@@ -264,24 +264,44 @@ let prop_metric_stores_truthful =
         (fun a -> snap.(a) = Metric.compute Dir.Up graph tcam ~addr:a)
         (Array.init (Tcam.size tcam) Fun.id))
 
+(* Every non-dead slot's stored metric equals a from-scratch
+   [Metric.compute], and every slot's cached hop equals a fresh
+   [Dir.next_hop] of its occupant. *)
+let stores_truthful stores graph tcam =
+  List.for_all
+    (fun store ->
+      let dir = Store.dir store in
+      List.for_all
+        (fun a ->
+          let hop =
+            match Tcam.read tcam a with
+            | Tcam.Free -> None
+            | Tcam.Used id -> Dir.next_hop dir graph tcam id
+          in
+          Store.hop store a = hop
+          && (Tcam.is_dead tcam a
+             || Store.get store a = Metric.compute dir graph tcam ~addr:a))
+        (List.init (Tcam.size tcam) Fun.id))
+    stores
+
 (* The same truthfulness, driven through [Agent.apply]: a Remove contracts
    the graph around the removed rule, and the stores must be refreshed
-   against the contracted graph.  Checks the FR-O store and both FR-SB
-   stores at every address after every flow-mod. *)
+   against the contracted graph.  Halfway through, a fault plan starts
+   failing writes mid-sequence and condemning rows (stuck ones for
+   good); Set_actions rewrite in place or relocate off dead rows.  Checks
+   every store of FR-O (both pre-computed back-ends), FR-SD and FR-SB at
+   every address after every flow-mod. *)
 let prop_agent_stores_truthful =
   QCheck.Test.make ~name:"agent metric stores truthful" ~count:20 arb_scenario
     (fun (seed, n, _) ->
       let rules = Dataset.generate Dataset.FW5 ~seed ~n:(2 * n) in
       let stores = ref [] in
-      let fr_o ~graph ~tcam =
-        let st = Greedy.create ~backend:Store.Bit_backend ~graph ~tcam () in
+      let fr_o backend ~graph ~tcam =
+        let st = Greedy.create ~backend ~graph ~tcam () in
         stores := [ Greedy.store st ];
         Greedy.algo st
-      and fr_sb ~graph ~tcam =
-        let st =
-          Separated.create ~backend:Store.Bit_backend ~delete_mode:Separated.Balance
-            ~graph ~tcam ()
-        in
+      and separated backend delete_mode ~graph ~tcam =
+        let st = Separated.create ~backend ~delete_mode ~graph ~tcam () in
         stores := [ Separated.up_store st; Separated.down_store st ];
         Separated.algo st
       in
@@ -290,23 +310,32 @@ let prop_agent_stores_truthful =
           let agent = Agent.create ~kind ~scheduler ~capacity:(3 * n) () in
           let graph = Agent.graph agent and tcam = Agent.tcam agent in
           let rng = Rng.create ~seed:(seed + 5) in
-          let truthful () =
-            List.for_all
-              (fun store ->
-                let snap = Store.snapshot store in
-                Array.for_all
-                  (fun a -> snap.(a) = Metric.compute (Store.dir store) graph tcam ~addr:a)
-                  (Array.init (Tcam.size tcam) Fun.id))
-              !stores
-          in
+          let truthful () = stores_truthful !stores graph tcam in
           let live = ref [] in
           let ok = ref true in
-          Array.iter
-            (fun (r : Rule.t) ->
-              (* Remove a random live rule before one add in three. *)
+          let pick () = List.nth !live (Rng.int rng (List.length !live)) in
+          Array.iteri
+            (fun i (r : Rule.t) ->
+              if i = n then
+                Agent.set_fault agent
+                  (Some
+                     (Fault.create ~fail_prob:0.1
+                        ~stuck:[ Rng.int rng (3 * n); Rng.int rng (3 * n) ]
+                        ~seed:(seed + 7) ()));
+              (* Remove a random live rule before one add in three, and
+                 rewrite one's action before one in four. *)
               (if !live <> [] && Rng.int rng 3 = 0 then
-                 let id = List.nth !live (Rng.int rng (List.length !live)) in
-                 if Agent.apply agent (Agent.Remove { id }) = Ok () then
+                 let id = pick () in
+                 ignore (Agent.apply agent (Agent.Remove { id }));
+                 if Agent.rule agent id = None then
+                   live := List.filter (( <> ) id) !live);
+              ok := !ok && truthful ();
+              (if !live <> [] && Rng.int rng 4 = 0 then
+                 let id = pick () in
+                 ignore
+                   (Agent.apply agent
+                      (Agent.Set_action { id; action = Rule.Forward i }));
+                 if Agent.rule agent id = None then
                    live := List.filter (( <> ) id) !live);
               ok := !ok && truthful ();
               if Agent.apply agent (Agent.Add r) = Ok () then live := r.Rule.id :: !live;
@@ -314,9 +343,62 @@ let prop_agent_stores_truthful =
             rules;
           !ok && !live <> [])
         [
-          (Firmware.FR_O Store.Bit_backend, fr_o);
-          (Firmware.FR_SB Store.Bit_backend, fr_sb);
+          (Firmware.FR_O Store.Bit_backend, fr_o Store.Bit_backend);
+          (Firmware.FR_O Store.Array_backend, fr_o Store.Array_backend);
+          (Firmware.FR_SD Store.Bit_backend, separated Store.Bit_backend Separated.Dirty);
+          (Firmware.FR_SB Store.Bit_backend, separated Store.Bit_backend Separated.Balance);
+          (Firmware.FR_SB Store.Array_backend, separated Store.Array_backend Separated.Balance);
         ])
+
+(* A fault that cuts an insert chain after its first move leaves that
+   move's source vacated and never written again; the stores must see it
+   free.  Rows take two strikes to die here, so the struck source stays
+   a live row whose metric counts. *)
+let prop_truncated_chain_truthful =
+  QCheck.Test.make ~name:"truncated chain leaves stores truthful" ~count:20
+    arb_scenario (fun (seed, n, _) ->
+      let table = Dataset.build_table Dataset.FW5 ~seed ~n in
+      let rng = Rng.create ~seed:(seed + 2) in
+      let stream =
+        Updates.generate rng ~live:(Array.to_list table.Dataset.order) ~count:(2 * n)
+          ~with_deletes:false ~id_base:(n + 1)
+      in
+      let tcam =
+        Layout.place Layout.Original ~tcam_size:(3 * n) ~order:table.Dataset.order
+      in
+      Tcam.adopt_deadmap tcam (Deadmap.create ~threshold:2 ~size:(Tcam.size tcam) ());
+      let graph = Graph.copy table.Dataset.graph in
+      List.for_all
+        (fun backend ->
+          let graph = Graph.copy graph and tcam = Tcam.copy tcam in
+          let st = Greedy.create ~backend ~graph ~tcam () in
+          let algo = Greedy.algo st in
+          (* Replay the stream up to the first chain with a move. *)
+          let cut = ref false in
+          List.iter
+            (fun u ->
+              if not !cut then
+                match Updates.resolve graph tcam u with
+                | Updates.R_insert { id; deps; dependents } as r -> (
+                    Updates.apply_graph graph r;
+                    match algo.Algo.schedule_insert ~rule_id:id ~deps ~dependents with
+                    | Ok (first :: Op.Insert { addr; _ } :: _) ->
+                        (* The second write fails at the source the first
+                           move vacated: only the first op lands. *)
+                        Tcam.apply_sequence tcam [ first ];
+                        ignore (Tcam.note_write_failure tcam ~addr);
+                        algo.Algo.after_apply [ first ];
+                        Graph.remove_node graph id;
+                        cut := true
+                    | Ok ops ->
+                        Tcam.apply_sequence tcam ops;
+                        algo.Algo.after_apply ops
+                    | Error _ -> Graph.remove_node graph id)
+                | Updates.R_delete _ -> ())
+            stream;
+          QCheck.assume !cut;
+          stores_truthful [ Greedy.store st ] graph tcam)
+        [ Store.Bit_backend; Store.Array_backend ])
 
 (* Every sequence any scheduler emits must be intermediate-state safe: no
    live-entry clobbering, dependency order intact after every single op
@@ -521,6 +603,7 @@ let suite =
             prop_membership_agreement;
             prop_metric_stores_truthful;
             prop_agent_stores_truthful;
+            prop_truncated_chain_truthful;
             prop_sequences_intermediate_safe;
             prop_ruletris_never_longer;
           ]) );
