@@ -6,6 +6,7 @@ type t = {
     rule_id:int -> deps:int list -> dependents:int list -> (Fr_tcam.Op.t list, string) result;
   schedule_delete : rule_id:int -> (Fr_tcam.Op.t list, string) result;
   after_apply : Fr_tcam.Op.t list -> unit;
+  rows_revived : int list -> unit;
 }
 
 let insert_window tcam ~deps ~dependents =

@@ -35,6 +35,10 @@ type t = {
           must already be present in the TCAM. *)
   schedule_delete : rule_id:int -> (Fr_tcam.Op.t list, string) result;
   after_apply : Fr_tcam.Op.t list -> unit;
+  rows_revived : int list -> unit;
+      (** Rows the dead map cleared without a write (a probe found them
+          healthy): whatever the scheduler derived from their dead status
+          is settled again. *)
 }
 
 val insert_window :

@@ -97,4 +97,5 @@ let algo st =
       (fun ~rule_id ~deps ~dependents -> schedule_insert st ~rule_id ~deps ~dependents);
     schedule_delete = (fun ~rule_id -> schedule_delete st ~rule_id);
     after_apply = (fun ops -> after_apply st ops);
+    rows_revived = (fun addrs -> Store.refresh st.store ~addrs ~ids:[]);
   }

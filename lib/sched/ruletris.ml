@@ -128,6 +128,7 @@ let make ~graph ~tcam =
         schedule_insert graph tcam ~rule_id ~deps ~dependents);
     schedule_delete = (fun ~rule_id -> schedule_delete tcam ~rule_id);
     after_apply = (fun _ -> ());
+    rows_revived = ignore;
   }
 
 let min_cost_in_window ~graph tcam ~lo ~hi =

@@ -26,4 +26,5 @@ let wrap mode (a : Algo.t) =
     schedule_delete =
       (fun ~rule_id -> corrupt (a.Algo.schedule_delete ~rule_id));
     after_apply = a.Algo.after_apply;
+    rows_revived = a.Algo.rows_revived;
   }

@@ -445,22 +445,24 @@ let dead_rows t = Tcam.dead_count t.tcam
    it no longer fail — the fault plan's stuck set answers that without
    burning a spontaneous-failure draw (probes are retried on a bus
    glitch).  No plan installed means the hardware is healthy and every
-   mark was spurious. *)
+   mark was spurious.  The revived rows go to the scheduler, whose
+   metric stores still hold them at the dead sentinel. *)
 let probe_dead t =
   let dead = Tcam.deadmap t.tcam in
   let addrs = Fr_tcam.Deadmap.dead_list dead in
-  let recovered = ref 0 in
-  List.iter
-    (fun addr ->
-      let still_stuck =
-        match t.fault with
-        | Some f -> Fr_tcam.Fault.is_stuck f ~addr
-        | None -> false
-      in
-      if (not still_stuck) && Fr_tcam.Deadmap.note_success dead ~addr then
-        incr recovered)
-    addrs;
-  (List.length addrs, !recovered)
+  let revived =
+    List.filter
+      (fun addr ->
+        let still_stuck =
+          match t.fault with
+          | Some f -> Fr_tcam.Fault.is_stuck f ~addr
+          | None -> false
+        in
+        (not still_stuck) && Fr_tcam.Deadmap.note_success dead ~addr)
+      addrs
+  in
+  if revived <> [] then t.algo.Algo.rows_revived revived;
+  (List.length addrs, List.length revived)
 
 (* Recovery post-condition: the store, the TCAM image and the dependency
    graph must tell one coherent story before a rebuilt agent is put back

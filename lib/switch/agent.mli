@@ -106,8 +106,10 @@ val probe_dead : t -> int * int
 (** Re-test every dead row against the installed fault plan (a probe is a
     scratch write-and-erase on a row holding no entry, so it is safe on
     live hardware).  Rows that no longer reject writes are revived in the
-    dead map; with no fault plan installed every dead mark is spurious
-    and is cleared.  Returns [(probed, recovered)]. *)
+    dead map, and the scheduler settles them again
+    ({!Fr_sched.Algo.t}[.rows_revived]) so its metric stores stop
+    treating them as dead; with no fault plan installed every dead mark
+    is spurious and is cleared.  Returns [(probed, recovered)]. *)
 
 val lookup : t -> Fr_tern.Header.packet -> Fr_tern.Rule.t option
 (** What the hardware answers: highest-address match.  Increments the

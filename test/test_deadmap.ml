@@ -221,6 +221,34 @@ let test_probe_dead () =
   check "healed row revived" false (Tcam.is_dead tcam 5);
   check_int "probes draw nothing from the fault plan" 0 (Fault.injected fault)
 
+(* Rows a probe revives are usable again: a store that raised them to the
+   dead sentinel must lower them, or an Add that needs one keeps failing
+   after the heal.  Every scheduler that keeps metric stores is checked. *)
+let test_probe_revives_rows_for_schedulers () =
+  let rules = Dataset.generate Dataset.FW5 ~seed:3 ~n:5 in
+  List.iter
+    (fun kind ->
+      let name = Firmware.algo_kind_name kind in
+      let agent = Agent.create ~kind ~capacity:8 () in
+      let tcam = Agent.tcam agent in
+      for i = 0 to 3 do
+        check (name ^ ": preload") true (Agent.apply agent (Agent.Add rules.(i)) = Ok ())
+      done;
+      for a = 0 to 7 do
+        if Tcam.is_free tcam a then ignore (Tcam.note_write_failure tcam ~addr:a)
+      done;
+      let add = Agent.Add rules.(4) in
+      check (name ^ ": no writable row") true (Result.is_error (Agent.apply agent add));
+      check (name ^ ": probe revives all four") true (Agent.probe_dead agent = (4, 4));
+      check_int (name ^ ": none dead") 0 (Agent.dead_rows agent);
+      check (name ^ ": the add lands after the heal") true (Agent.apply agent add = Ok ()))
+    [
+      Firmware.FR_O Store.Bit_backend;
+      Firmware.FR_O Store.Array_backend;
+      Firmware.FR_SD Store.Bit_backend;
+      Firmware.FR_SB Store.Bit_backend;
+    ]
+
 (* --- Set_action relocation off a dead row ------------------------------- *)
 
 let test_set_action_relocates () =
@@ -363,6 +391,8 @@ let suite =
         Alcotest.test_case "all schedulers avoid dead rows" `Quick
           test_schedulers_avoid_dead_rows;
         Alcotest.test_case "probe drill" `Quick test_probe_dead;
+        Alcotest.test_case "probed rows usable again" `Quick
+          test_probe_revives_rows_for_schedulers;
         Alcotest.test_case "Set_action relocates off dead rows" `Quick
           test_set_action_relocates;
         Alcotest.test_case "shard reset carries the dead map" `Quick

@@ -287,8 +287,9 @@ let stores_truthful stores graph tcam =
 (* The same truthfulness, driven through [Agent.apply]: a Remove contracts
    the graph around the removed rule, and the stores must be refreshed
    against the contracted graph.  Halfway through, a fault plan starts
-   failing writes mid-sequence and condemning rows (stuck ones for
-   good); Set_actions rewrite in place or relocate off dead rows.  Checks
+   failing writes mid-sequence and condemning rows; Set_actions rewrite
+   in place or relocate off dead rows; at three quarters the faults heal
+   and a probe revives every condemned row.  Checks
    every store of FR-O (both pre-computed back-ends), FR-SD and FR-SB at
    every address after every flow-mod. *)
 let prop_agent_stores_truthful =
@@ -321,7 +322,13 @@ let prop_agent_stores_truthful =
                   (Some
                      (Fault.create ~fail_prob:0.1
                         ~stuck:[ Rng.int rng (3 * n); Rng.int rng (3 * n) ]
-                        ~seed:(seed + 7) ()));
+                        ~seed:(seed + 7) ()))
+              else if i = 3 * n / 2 then begin
+                (* Heal: the probe revives every row the faults condemned. *)
+                Agent.set_fault agent None;
+                ignore (Agent.probe_dead agent);
+                ok := !ok && Agent.dead_rows agent = 0 && truthful ()
+              end;
               (* Remove a random live rule before one add in three, and
                  rewrite one's action before one in four. *)
               (if !live <> [] && Rng.int rng 3 = 0 then
