@@ -360,6 +360,51 @@ let test_one_image_per_op () =
     all_kinds;
   check "some faulted add landed moves first" true (!partial_adds > 0)
 
+(* The update path's allocation budget, on a warm 4,000-rule FW5 agent
+   (FR-O, BIT store): the mean minor words of a Remove + Add pair over 50
+   pairs, and of the scheduler's metric refresh alone.  Measured 866 words
+   per pair and 43.4 per refresh; when the refresh built a hash table and
+   a queue per call and recomputed every queued chain, it was 1,152 and
+   186.  Bounds: 1,000 per pair, 50 per refresh. *)
+let test_apply_allocation_bound () =
+  let n = 4000 and pairs = 50 in
+  let rules = Dataset.generate Dataset.FW5 ~seed:1 ~n:(n + 200) in
+  let refresh_words = ref 0.0 and refreshes = ref 0 in
+  let scheduler ~graph ~tcam =
+    let a = Firmware.make_scheduler (Firmware.FR_O Store.Bit_backend) ~graph ~tcam in
+    {
+      a with
+      Algo.after_apply =
+        (fun ops ->
+          let before = Gc.minor_words () in
+          a.Algo.after_apply ops;
+          refresh_words := !refresh_words +. (Gc.minor_words () -. before);
+          incr refreshes);
+    }
+  in
+  let agent = Agent.of_rules ~scheduler ~capacity:(n + (n / 2)) (Array.sub rules 0 n) in
+  let rng = Rng.create ~seed:9 in
+  let live = Array.init n (fun i -> rules.(i).Rule.id) and next = ref n in
+  let failed = ref 0 in
+  let pair () =
+    let k = Rng.int rng n in
+    let r = rules.(!next) in
+    incr next;
+    if Agent.apply agent (Agent.Remove { id = live.(k) }) <> Ok () then incr failed;
+    if Agent.apply agent (Agent.Add r) <> Ok () then incr failed;
+    live.(k) <- r.Rule.id
+  in
+  for _ = 1 to 20 do pair () done;
+  refresh_words := 0.0;
+  refreshes := 0;
+  let before = Gc.minor_words () in
+  for _ = 1 to pairs do pair () done;
+  let per_pair = (Gc.minor_words () -. before) /. float pairs in
+  let per_refresh = !refresh_words /. float !refreshes in
+  check_int "every mod applied" 0 !failed;
+  check (Printf.sprintf "words per Remove+Add %.0f < 1000" per_pair) true (per_pair < 1000.0);
+  check (Printf.sprintf "words per refresh %.1f < 50" per_refresh) true (per_refresh < 50.0)
+
 let test_meters () =
   let rules = small_policy () in
   let agent = Agent.of_rules ~capacity:200 rules in
@@ -391,5 +436,6 @@ let suite =
         Alcotest.test_case "meters" `Quick test_meters;
         QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
         Alcotest.test_case "one image per hardware op" `Quick test_one_image_per_op;
+        Alcotest.test_case "apply allocation bound" `Quick test_apply_allocation_bound;
       ] );
   ]
