@@ -122,6 +122,43 @@ let apply_chaos_event service ~seed e =
       if Service.journaled service then
         ignore (Service.restart_shard service ~shard:e.shard)
 
+(* The generator's live ids in the order it draws from — the newest add
+   first, then the preload in pool order — as a Fenwick count over one
+   slot per pool entry, so the i-th live id is an O(log n) rank select
+   rather than a list walk. *)
+module Live = struct
+  type t = { tree : int array; ids : int array; mutable count : int }
+
+  let create n = { tree = Array.make (n + 1) 0; ids = Array.make n 0; count = 0 }
+
+  let bump t slot d =
+    let i = ref (slot + 1) in
+    while !i < Array.length t.tree do
+      t.tree.(!i) <- t.tree.(!i) + d;
+      i := !i + (!i land - !i)
+    done;
+    t.count <- t.count + d
+
+  let add t slot id =
+    t.ids.(slot) <- id;
+    bump t slot 1
+
+  let remove t slot = bump t slot (-1)
+
+  (* The slot holding the live id of rank [r] (0-based). *)
+  let select t r =
+    let n = Array.length t.tree - 1 in
+    let rec top s = if 2 * s <= n then top (2 * s) else s in
+    let rec go pos rem step =
+      if step = 0 then pos
+      else
+        let next = pos + step in
+        if next <= n && t.tree.(next) < rem then go next (rem - t.tree.(next)) (step / 2)
+        else go pos rem (step / 2)
+    in
+    go 0 (r + 1) (if n = 0 then 0 else top 1)
+end
+
 let run ?policy ?algo ?verify ?resil ?journal ?domains ?configure ?(chaos = [])
     ?stop_after_flushes spec =
   (* One pool covers the preload and every insertion the mix can draw. *)
@@ -137,19 +174,13 @@ let run ?policy ?algo ?verify ?resil ?journal ?domains ?configure ?(chaos = [])
      op leaves it slightly stale), like a controller racing its own
      in-flight updates.  The coalescing layer is exactly what absorbs the
      resulting redundancy. *)
-  let live = ref (Array.to_list (Array.map (fun (r : Rule.t) -> r.Rule.id)
-                                   (Array.sub pool 0 spec.initial)))
-  in
-  let n_live = ref spec.initial in
+  let slots = Array.length pool in
+  let live = Live.create slots in
+  for p = 0 to spec.initial - 1 do
+    Live.add live (spec.ops + p) pool.(p).Rule.id
+  done;
   let next = ref spec.initial in
-  let pick_live () =
-    let i = Rng.int rng !n_live in
-    List.nth !live i
-  in
-  let drop_live id =
-    live := List.filter (fun x -> x <> id) !live;
-    decr n_live
-  in
+  let pick_live () = Live.select live (Rng.int rng live.Live.count) in
   let wall = Measure.Hist.create () in
   let flushes = ref 0 in
   let chaos_pending = ref chaos in
@@ -174,21 +205,24 @@ let run ?policy ?algo ?verify ?resil ?journal ?domains ?configure ?(chaos = [])
   (try
   for op = 1 to spec.ops do
     let roll = Rng.int rng 100 in
-    (if (roll < 55 || !n_live = 0) && !next < Array.length pool then begin
+    let n_live = live.Live.count in
+    (if (roll < 55 || n_live = 0) && !next < slots then begin
        let r = pool.(!next) in
-       incr next;
        Service.submit service (Agent.Add r);
-       live := r.Rule.id :: !live;
-       incr n_live
+       Live.add live (slots - 1 - !next) r.Rule.id;
+       incr next
      end
-     else if roll < 80 && !n_live > 0 then begin
-       let id = pick_live () in
-       Service.submit service (Agent.Remove { id });
-       drop_live id
+     else if roll < 80 && n_live > 0 then begin
+       let slot = pick_live () in
+       Service.submit service (Agent.Remove { id = live.Live.ids.(slot) });
+       Live.remove live slot
      end
-     else if !n_live > 0 then
+     else if n_live > 0 then
+       (* The action is drawn before the id: the order the stream was
+          first recorded in. *)
+       let action = Rule.Forward (Rng.int rng 16) in
        Service.submit service
-         (Agent.Set_action { id = pick_live (); action = Rule.Forward (Rng.int rng 16) }));
+         (Agent.Set_action { id = live.Live.ids.(pick_live ()); action }));
     if op mod spec.batch = 0 then flush ()
   done;
   if Service.pending service > 0 then flush ()
