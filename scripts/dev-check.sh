@@ -46,6 +46,9 @@ dune build @paper
 echo "== perfbench smoke (serve; its backend check fails any wrong lookup) =="
 python3 perfbench/run.py --workload serve --seed 1 --seconds 3 --trace 0 >/dev/null
 
+echo "== perfbench smoke (churn; its gate replays FR-O stores on 4 FW5 shards) =="
+python3 perfbench/run.py --workload churn --seed 1 --seconds 3 --trace 0 >/dev/null
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="
   dune build @fmt
