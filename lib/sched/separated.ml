@@ -281,6 +281,15 @@ let balance_fill_top st ~hole =
   let final_hole, moves = steps hole [] in
   (final_hole, List.rev moves)
 
+(* The hole a balance delete leaves becomes the region's middle edge only
+   when every slot between it and the old edge is free: an entry on a
+   dead row never moves, so the hole can end beyond it, and the edge must
+   not pass an occupied slot (the middle pool is all free).  Otherwise
+   the region keeps its edge and the hole stays inside it. *)
+let free_between st ~lo ~hi =
+  let rec go a = a > hi || (Tcam.is_free st.tcam a && go (a + 1)) in
+  go lo
+
 let schedule_delete st ~rule_id =
   match Tcam.addr_of st.tcam rule_id with
   | None ->
@@ -315,7 +324,8 @@ let schedule_delete st ~rule_id =
             st.pending_post <-
               (fun () ->
                 r.Layout.bottom_count <- r.Layout.bottom_count - 1;
-                r.Layout.bottom_next <- final_hole);
+                if free_between st ~lo:(final_hole + 1) ~hi:(r.Layout.bottom_next - 1)
+                then r.Layout.bottom_next <- final_hole);
             st.pending_addrs <- [ final_hole ];
             let ops = Op.delete ~addr :: moves in
             st.pending_ops <- ops;
@@ -326,7 +336,8 @@ let schedule_delete st ~rule_id =
             st.pending_post <-
               (fun () ->
                 r.Layout.top_count <- r.Layout.top_count - 1;
-                r.Layout.top_next <- final_hole);
+                if free_between st ~lo:(r.Layout.top_next + 1) ~hi:(final_hole - 1)
+                then r.Layout.top_next <- final_hole);
             st.pending_addrs <- [ final_hole ];
             let ops = Op.delete ~addr :: moves in
             st.pending_ops <- ops;

@@ -225,6 +225,26 @@ let prop_membership_agreement =
         [ ("rt", Firmware.Ruletris); ("fr", Firmware.FR_O Store.Bit_backend);
           ("sb", Firmware.FR_SB Store.Bit_backend) ])
 
+(* Every non-dead slot's stored metric equals a from-scratch
+   [Metric.compute], and every slot's cached hop equals a fresh
+   [Dir.next_hop] of its occupant. *)
+let stores_truthful stores graph tcam =
+  List.for_all
+    (fun store ->
+      let dir = Store.dir store in
+      List.for_all
+        (fun a ->
+          let hop =
+            match Tcam.read tcam a with
+            | Tcam.Free -> None
+            | Tcam.Used id -> Dir.next_hop dir graph tcam id
+          in
+          Store.hop store a = hop
+          && (Tcam.is_dead tcam a
+             || Store.get store a = Metric.compute dir graph tcam ~addr:a))
+        (List.init (Tcam.size tcam) Fun.id))
+    stores
+
 let prop_metric_stores_truthful =
   QCheck.Test.make ~name:"metric stores truthful after streams" ~count:25
     arb_scenario (fun sc ->
@@ -259,30 +279,7 @@ let prop_metric_stores_truthful =
                   algo.Algo.after_apply ops
               | Error _ -> ()))
         stream;
-      let snap = Store.snapshot (Greedy.store st) in
-      Array.for_all
-        (fun a -> snap.(a) = Metric.compute Dir.Up graph tcam ~addr:a)
-        (Array.init (Tcam.size tcam) Fun.id))
-
-(* Every non-dead slot's stored metric equals a from-scratch
-   [Metric.compute], and every slot's cached hop equals a fresh
-   [Dir.next_hop] of its occupant. *)
-let stores_truthful stores graph tcam =
-  List.for_all
-    (fun store ->
-      let dir = Store.dir store in
-      List.for_all
-        (fun a ->
-          let hop =
-            match Tcam.read tcam a with
-            | Tcam.Free -> None
-            | Tcam.Used id -> Dir.next_hop dir graph tcam id
-          in
-          Store.hop store a = hop
-          && (Tcam.is_dead tcam a
-             || Store.get store a = Metric.compute dir graph tcam ~addr:a))
-        (List.init (Tcam.size tcam) Fun.id))
-    stores
+      stores_truthful [ Greedy.store st ] graph tcam)
 
 (* The same truthfulness, driven through [Agent.apply]: a Remove contracts
    the graph around the removed rule, and the stores must be refreshed

@@ -117,6 +117,22 @@ let test_balance_delete_top () =
   check "slot returned to pool" true (Tcam.read tcam 9 = Tcam.Free);
   check "movement happened" true (List.length ops >= 2)
 
+(* Entry 3 sits on a dead row at 0x9, so the hole a balance delete of 5
+   opens at 0xb can migrate down to 0xa but no further.  The top edge must
+   not move past the stuck entry: the middle pool stays all free (once
+   the row revived, a straddling insert would land on it). *)
+let test_balance_delete_stops_at_dead_row () =
+  let graph, tcam, st, algo = setup ~delete_mode:Separated.Balance () in
+  ignore (Tcam.note_write_failure tcam ~addr:9);
+  ignore (exec graph tcam algo (`Del 5));
+  let r = Separated.regions st in
+  check_int "top edge kept" 8 r.Layout.top_next;
+  check_int "top count" 2 r.Layout.top_count;
+  for a = r.Layout.bottom_next to r.Layout.top_next do
+    check (Printf.sprintf "middle slot 0x%x free" a) true (Tcam.is_free tcam a)
+  done;
+  check "invariant" true (Tcam.check_dag_order tcam graph = Ok ())
+
 let test_balance_delete_at_edge_is_cheap () =
   let graph, tcam, _st, algo = setup ~delete_mode:Separated.Balance () in
   (* Deleting the entry already at the bottom edge costs no movements. *)
@@ -188,6 +204,8 @@ let suite =
         Alcotest.test_case "balance delete bottom" `Quick test_balance_delete_bottom;
         Alcotest.test_case "balance delete top" `Quick test_balance_delete_top;
         Alcotest.test_case "balance delete at edge" `Quick test_balance_delete_at_edge_is_cheap;
+        Alcotest.test_case "balance delete stops at dead row" `Quick
+          test_balance_delete_stops_at_dead_row;
         Alcotest.test_case "middle exhaustion fallback" `Quick test_middle_exhaustion_fallback;
         Alcotest.test_case "random mixed stream" `Quick test_random_mixed_stream_stays_valid;
       ] );
